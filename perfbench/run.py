@@ -10,8 +10,9 @@ Workloads (full definitions in ``workloads.py``):
     Open loop: seeded Poisson arrivals at a fixed low rate into the
     thread backend with a ``max_delay`` deadline; mostly one-row flushes.
 ``fleet-6q``
-    The same traffic at 6 qubits on the process backend: the only
-    workload that crosses the process pipe and the wire codec.
+    The same traffic at 6 qubits on the process backend with one worker
+    process: the only workload that crosses the process pipe and the
+    wire codec.
 ``batch-8q``
     Closed loop, one caller: ``EnQodeEncoder.encode_batch`` on 64-row
     batches at the paper's geometry (8 qubits, 8 layers).  Finetune and
@@ -36,7 +37,8 @@ per-layer metric (``--trace 1``).  A traced run serves the requests
 three times, untraced, traced, untraced, and reports the traced pass's
 headline against the untraced mean as ``trace.overhead_share``; its
 spans go to ``perfbench/out/``.  A failed check prints no result and
-exits 1.
+exits 1.  On every way out, the run stops each process it started and
+waits for it to end.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ import faulthandler
 import json
 import os
 import pathlib
+import signal
 import sys
+import threading
 
 import host
 
@@ -62,8 +66,34 @@ HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
-#: A run that has not finished by now is wedged; dump stacks and exit.
-WATCHDOG_SECONDS = 170
+#: A run that has not finished by now is wedged: dump stacks, stop its
+#: processes and exit.  If the wedge holds the GIL, faulthandler exits
+#: a few seconds later without the clean-up.
+WATCHDOG_SECONDS = 165
+
+
+def stop_children() -> None:
+    """Stop every process this run started and wait for each to end.
+
+    The spawn start method (the process backend's and the capacity
+    probe's) also launches multiprocessing's resource tracker, which by
+    default outlives its parent for a moment; it is stopped and reaped
+    too.
+    """
+    import multiprocessing
+    from multiprocessing import resource_tracker
+
+    for child in multiprocessing.active_children():
+        child.kill()
+        child.join()
+    resource_tracker._resource_tracker._stop()
+
+
+def _wedged() -> None:
+    print(f"perfbench: run wedged after {WATCHDOG_SECONDS} s", file=sys.stderr)
+    faulthandler.dump_traceback(all_threads=True)
+    stop_children()
+    os._exit(1)
 
 
 def declared_metrics() -> dict:
@@ -196,7 +226,12 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    faulthandler.dump_traceback_later(WATCHDOG_SECONDS, exit=True)
+    # SIGTERM unwinds like an exception, so the clean-up below still runs.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    watchdog = threading.Timer(WATCHDOG_SECONDS, _wedged)
+    watchdog.daemon = True
+    watchdog.start()
+    faulthandler.dump_traceback_later(WATCHDOG_SECONDS + 8, exit=True)
     import checks
 
     try:
@@ -205,7 +240,9 @@ def main(argv=None) -> int:
         print(f"perfbench: correctness check failed: {exc}", file=sys.stderr)
         return 1
     finally:
+        watchdog.cancel()
         faulthandler.cancel_dump_traceback_later()
+        stop_children()
     units = declared["per_layer" if args.trace else "end_to_end"]
     if set(result["metrics"]) != set(units):
         print(
