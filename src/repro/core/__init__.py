@@ -27,7 +27,6 @@ from repro.core.multiclass import PerClassEnQode, nearest_class
 from repro.core.objective import FidelityObjective
 from repro.core.optimizer import LBFGSOptimizer, OptimizationResult
 from repro.core.pipeline import (
-    BindStage,
     EncodePipeline,
     FinetuneStage,
     LowerStage,
@@ -52,7 +51,6 @@ __all__ = [
     "BatchOptimizationResult",
     "BatchRestartResult",
     "VQCObjective",
-    "BindStage",
     "ClusterModel",
     "EncodePipeline",
     "FinetuneStage",

@@ -50,26 +50,28 @@ class EnQodeConfig:
         L-BFGS budget for transfer-learned per-sample fine-tuning
         (small, keeping online latency low and uniform — Sec. III-D).
     online_batch_engine:
-        Which batched drive fine-tunes a multi-row online batch:
+        Which batched drive fine-tunes a multi-row online batch (a
+        single row always runs sequential scipy L-BFGS):
         ``"rows"`` (the default) runs the per-row vectorized L-BFGS
         (:meth:`repro.core.batch.BatchLBFGSOptimizer.optimize_rows`),
         ``"stacked"`` runs one scipy L-BFGS over the block-diagonal
-        summed objective (the pre-PR-4 engine).  Measured on
-        warm-started MNIST-PCA batches of 64 the per-row engine is
-        1.3-1.5x faster at 4-8 qubits (see
-        ``BENCH_batch_throughput.json``, ``finetune_engines``): even in
-        warm basins the stacked drive's shared line search makes every
-        row wait for the slowest one, while the per-row engine drops
-        converged rows out of later passes.  Both engines share the
-        scipy polish backstop, so final fidelities agree to ~1e-13;
-        flip back to ``"stacked"`` to reproduce the historical batch
-        trajectories exactly.  Caveat: the engines count
-        ``num_evaluations`` in different units — ``"stacked"`` reports
-        scipy's whole-batch objective passes split evenly across rows
-        (~1 per sample), ``"rows"`` reports each row's own evaluations
-        (~13 per sample, commensurate with the sequential per-sample
-        path) — so ``evals_per_sample`` stats are not comparable
-        across the knob.
+        summed objective.  Which is faster depends on the batch size.
+        On warm-started MNIST-PCA rows (perfbench's fit data and request
+        mix, one BLAS thread, 2-vCPU Xeon VM, medians of 8 batches)
+        ``"stacked"`` beat ``"rows"`` by 1.1-1.7x at 2-32 rows at 4 and
+        6 qubits; ``"rows"`` won only at 64 rows (1.4x at 4 qubits,
+        1.2x at 6), because it drops converged rows out of later passes
+        while the stacked drive's shared line search makes every row
+        wait for the slowest one.  The default serves the paper's
+        batch-64 regime.  Both engines share the scipy polish backstop,
+        so final fidelities agree to ~1e-13; ``"stacked"`` reproduces
+        the historical batch trajectories exactly.  Caveat: the engines
+        count ``num_evaluations`` in different units — ``"stacked"``
+        reports scipy's whole-batch objective passes split evenly
+        across rows (~1 per sample), ``"rows"`` reports each row's own
+        evaluations (~13 per sample, commensurate with the sequential
+        per-sample path) — so ``evals_per_sample`` stats are not
+        comparable across the knob.
     target_fidelity:
         Early-exit threshold for offline restarts.
     optimization_level:
@@ -251,8 +253,6 @@ class ServiceConfig:
         the JSON serialization, responses returned as the binary wire
         record and decoded by template rebind — float-bit identical to
         ``encode_batch``), escaping the GIL for CPU-bound fine-tuning.
-        Requires ``use_template=True`` (the wire response is a
-        template-bound record).
     workers:
         Worker-pool size for the ``"thread"`` and ``"process"``
         backends (ignored by ``"sync"``).  At most one flush per
@@ -274,9 +274,6 @@ class ServiceConfig:
         ``submit``/``poll`` under the sync backend, by the background
         flusher (without requiring traffic) under the thread backend.
         ``None`` disables the deadline.
-    use_template:
-        Lower flushes via the cached parametric transpile template (the
-        fast path) or full per-sample transpiles (escape hatch).
     max_pending_per_key:
         Admission control: the most requests one key's queue may hold.
         A ``submit`` that would exceed it is handled per
@@ -366,7 +363,6 @@ class ServiceConfig:
     workers: int = 4
     max_batch: int = 32
     max_delay: "float | None" = None
-    use_template: bool = True
     max_pending_per_key: "int | None" = None
     max_pending_total: "int | None" = None
     overload_policy: str = "reject"
@@ -386,12 +382,6 @@ class ServiceConfig:
             raise ServiceError(
                 f"backend must be 'sync', 'thread' or 'process', "
                 f"got {self.backend!r}"
-            )
-        if self.backend == "process" and not self.use_template:
-            raise ServiceError(
-                "backend='process' requires use_template=True: worker "
-                "responses cross the boundary as template-bound wire "
-                "records"
             )
         if self.workers < 1:
             raise ServiceError("workers must be >= 1")

@@ -17,19 +17,19 @@ noise exposure — which is EnQode's core claim.
 Batched online (:meth:`EnQodeEncoder.encode_batch`): the fixed shape
 also means every sample's *compilation* is the same work with different
 Rz angles, so the batch path (i) fine-tunes all samples concurrently via
-the batched optimizer in :mod:`repro.core.batch` and (ii) transpiles the
-ansatz **once** into a cached parametric template
-(:func:`repro.transpile.transpiler.transpile_template`), lowering the
-whole batch through one vectorized ``bind_batch`` sweep.  This is the amortized form of the paper's Fig. 9(a)
-millisecond-compile-latency claim; results are numerically equivalent to
-the per-sample loop (same cluster assignments, fidelities, and
-transpiled circuits).
+the batched optimizer in :mod:`repro.core.batch` and (ii) binds the
+whole batch's angles through one vectorized ``bind_batch`` sweep over a
+parametric template, transpiled **once** per (ansatz, backend,
+optimization level) and cached
+(:func:`repro.transpile.transpiler.transpile_template`).  This is the
+amortized form of the paper's Fig. 9(a) millisecond-compile-latency
+claim; the template is checked against the full transpile when it is
+built, so its circuits are the ones a per-sample transpile would give.
 
 Both entry points are thin shims over the shared stage pipeline of
-:mod:`repro.core.pipeline` (route → finetune → bind → lower): ``encode``
-is a pipeline run of batch size one in full-transpile mode, and
-``encode_batch`` is a pipeline run in template mode.  New code that
-serves a *stream* of samples should prefer
+:mod:`repro.core.pipeline` (route → finetune → lower): ``encode`` is a
+pipeline run of batch size one and ``encode_batch`` a run over the
+whole matrix.  New code that serves a *stream* of samples should prefer
 :class:`repro.service.EncodingService`, which drives the same pipeline
 through a micro-batcher; the shims stay for one-off and big-batch use.
 """
@@ -53,7 +53,11 @@ from repro.core.optimizer import LBFGSOptimizer, OptimizationResult
 from repro.core.pipeline import EncodedSample, EncodePipeline
 from repro.core.symbolic import SymbolicState
 from repro.core.transfer import TransferLearner
-from repro.data.preprocess import prepare_amplitudes
+from repro.data.preprocess import (
+    as_real_rows,
+    prepare_amplitudes,
+    validate_samples,
+)
 from repro.errors import OptimizationError
 from repro.hardware.backend import Backend
 from repro.utils.timing import Timer
@@ -159,20 +163,16 @@ class EnQodeEncoder:
         attached, the normalized sample itself otherwise.  Routing
         (:func:`repro.core.multiclass.nearest_class`) compares cluster
         centers against *this*, so per-class encoders with different
-        preprocessors stay comparable.
+        preprocessors stay comparable.  Malformed input raises
+        :class:`~repro.errors.OptimizationError` (see
+        :func:`repro.data.preprocess.validate_samples`).
         """
-        sample = np.asarray(sample, dtype=float).ravel()
-        if sample.size != self.input_size:
-            raise OptimizationError(
-                f"sample has {sample.size} features, expected "
-                f"{self.input_size}"
-            )
+        row = validate_samples(
+            sample, self.input_size, OptimizationError, single=True
+        )
         if self.preprocessor is not None:
-            return self.preprocessor.transform(sample[None, :])[0]
-        norm = np.linalg.norm(sample)
-        if norm < 1e-12:
-            raise OptimizationError("cannot embed a zero sample")
-        return sample / norm
+            return self.preprocessor.transform(row)[0]
+        return row[0] / np.linalg.norm(row[0])
 
     def _guard_preprocessor_kwargs(
         self, normalize: bool, pad_with: "float | None"
@@ -385,7 +385,7 @@ class EnQodeEncoder:
 
     @property
     def pipeline(self) -> EncodePipeline:
-        """The shared route → finetune → bind → lower stage pipeline.
+        """The shared route → finetune → lower stage pipeline.
 
         Built lazily from the fitted transfer learner and rebuilt if the
         models are replaced (a refit, or a reload through
@@ -419,48 +419,37 @@ class EnQodeEncoder:
     ) -> EncodedSample:
         """Embed one sample via transfer learning (the "real-time" path).
 
-        Compatibility shim: a :meth:`pipeline` run of batch size one in
-        full-transpile mode, which preserves the historical one-off
-        behaviour exactly (sequential scipy fine-tune, per-call
-        transpile).  ``normalize``/``pad_with`` are the PennyLane
+        A :meth:`pipeline` run of batch size one: the sequential scipy
+        fine-tune, then one bind of the cached template, so the circuit
+        is a lazy :class:`~repro.transpile.bound.BoundCircuit` as on
+        every other path.  ``normalize``/``pad_with`` are the PennyLane
         ``AmplitudeEmbedding`` input conveniences of
         :func:`repro.data.preprocess.prepare_amplitudes`; the defaults
-        are the historical behaviour.  Streaming callers should use
-        :class:`repro.service.EncodingService` instead, which batches
-        submissions into the template fast path.
+        embed full-length rows, normalized here.  Streaming callers
+        should use :class:`repro.service.EncodingService` instead, which
+        batches submissions.
         """
         if not self.is_fitted:
             raise OptimizationError("EnQodeEncoder.encode called before fit")
         self._guard_preprocessor_kwargs(normalize, pad_with)
-        sample = np.asarray(sample, dtype=float).ravel()
+        row = as_real_rows(sample, OptimizationError, single=True)
         if pad_with is not None or not normalize:
-            sample = prepare_amplitudes(
-                sample,
+            row = prepare_amplitudes(
+                row,
                 self.config.num_amplitudes,
                 normalize=normalize,
                 pad_with=pad_with,
-            )[0]
-        if sample.size != self.input_size:
-            raise OptimizationError(
-                f"sample has {sample.size} features, expected "
-                f"{self.input_size}"
             )
-        return self.pipeline.run(sample[None, :], use_template=False)[0]
+        return self.pipeline.run_reported(row)[0][0]
 
     def encode_batch(
         self,
         samples: np.ndarray,
-        use_template: bool = True,
         *,
         normalize: bool = True,
         pad_with: "float | None" = None,
     ) -> list[EncodedSample]:
-        """Embed a ``(B, 2^n)`` sample matrix through the batched fast path.
-
-        Compatibility shim over a :meth:`pipeline` run in template mode.
-        Produces the same :class:`EncodedSample` list as ``[self.encode(x)
-        for x in samples]`` — identical cluster assignments, fidelities,
-        and transpiled circuits — but:
+        """Embed a ``(B, 2^n)`` sample matrix through one pipeline run.
 
         * all ``B`` fine-tunes run concurrently through one batched
           L-BFGS drive over a :class:`~repro.core.batch.
@@ -471,19 +460,16 @@ class EnQodeEncoder:
           whole batch re-binds its Rz angles through one vectorized
           :meth:`~repro.transpile.template.ParametricTemplate.bind_batch`
           sweep (stacked 2x2 composition + batched ZYZ resynthesis,
-          instruction-identical to per-sample binds).
+          instruction-identical to a full transpile of each sample).
 
-        A single-row batch uses the sequential fine-tune engine (it *is*
-        ``encode``, modulo the template), so micro-batches of any size
-        stay consistent with the one-off path.  ``use_template=False``
-        falls back to full per-sample transpiles (still with batched
-        optimization); it exists for benchmarking and as an escape
-        hatch.  Per-sample ``compile_time`` reports each sample's share
-        of the batch optimization (and of the one-time template build,
-        on a cache miss) plus its own bind time, so the sum over a batch
-        tracks actual wall time.  ``normalize``/``pad_with`` are the
-        same ``AmplitudeEmbedding`` input conveniences as on
-        :meth:`encode`.
+        Cluster assignments match ``[self.encode(x) for x in samples]``;
+        a single-row batch *is* ``encode`` (sequential fine-tune
+        engine), while at ``B >= 2`` the batched drive reaches the same
+        optimum only to within optimizer tolerance.  Per-sample
+        ``compile_time`` is an even share of the run's wall time (batch
+        optimization, the one-time template build on a cache miss, and
+        the bind).  ``normalize``/``pad_with`` are the same
+        ``AmplitudeEmbedding`` input conveniences as on :meth:`encode`.
         """
         if not self.is_fitted:
             raise OptimizationError(
@@ -497,7 +483,7 @@ class EnQodeEncoder:
                 normalize=normalize,
                 pad_with=pad_with,
             )
-        return self.pipeline.run(samples, use_template=use_template)
+        return self.pipeline.run_reported(samples)[0]
 
     # -- introspection ----------------------------------------------------------------
 

@@ -2,31 +2,28 @@
 
 Every online path through EnQode — one-off :meth:`EnQodeEncoder.encode`,
 big-batch :meth:`EnQodeEncoder.encode_batch`, and the streaming
-:class:`repro.service.EncodingService` — performs the same four steps:
+:class:`repro.service.EncodingService` — performs the same steps:
 
 ``route``
     Nearest-cluster assignment: match each sample to the trained cluster
     whose center is closest, yielding the warm-start parameters.
 ``finetune``
     Transfer-learned L-BFGS: fine-tune the warm start for the sample's
-    own amplitudes (sequential scipy for one row, the stacked batched
-    drive of :mod:`repro.core.batch` for two or more).
-``bind``
-    Angles → ansatz: instantiate the fixed-shape logical circuit for a
-    parameter vector.
+    own amplitudes (sequential scipy for one row, the batched drive of
+    :mod:`repro.core.batch` for two or more).
 ``lower``
-    Lower to the backend: either bind the cached parametric transpile
-    template (:func:`repro.transpile.transpiler.transpile_template`) or
-    run the full per-circuit transpile pipeline.
+    Angles → backend circuit: fetch the cached parametric transpile
+    template (:func:`repro.transpile.transpiler.transpile_template`)
+    and bind the whole batch's angles through one
+    :meth:`~repro.transpile.template.ParametricTemplate.bind_batch`.
+    The template verifies itself against the full transpile when it is
+    built, so this is the only lowering an online encode needs.
 
-Historically each caller hand-maintained its own copy of this sequence;
-this module makes the stages first-class objects so all paths execute
-the *same* code.  :class:`EncodePipeline` composes them; ``encode`` is
-literally :meth:`EncodePipeline.run` on a batch of size one, and the
-service's micro-batch flushes are :meth:`EncodePipeline.run` on whatever
+:class:`EncodePipeline` composes the stages; ``encode`` is
+:meth:`EncodePipeline.run_reported` on a batch of size one, and the
+service's micro-batch flushes are the same call on whatever
 accumulated.  A single-row run uses the sequential fine-tune engine and
-a multi-row run uses the stacked one, so the shims over this pipeline
-are numerically identical to the pre-pipeline code paths they replaced.
+a multi-row run uses the batched one.
 """
 
 from __future__ import annotations
@@ -40,7 +37,9 @@ import numpy as np
 from repro.core.ansatz import EnQodeAnsatz
 from repro.core.batch import BatchFidelityObjective
 from repro.core.clustering import nearest_centers
+from repro.core.optimizer import OptimizationResult
 from repro.core.transfer import TransferLearner, TransferOutcome
+from repro.data.preprocess import validate_samples
 from repro.errors import OptimizationError
 from repro.hardware.backend import Backend
 from repro.quantum.circuit import QuantumCircuit
@@ -49,11 +48,7 @@ from repro.transpile.template import (
     GLOBAL_TEMPLATE_CACHE,
     ParametricTemplate,
 )
-from repro.transpile.transpiler import (
-    TranspileResult,
-    transpile,
-    transpile_template,
-)
+from repro.transpile.transpiler import TranspileResult, transpile_template
 from repro.utils.timing import Timer
 
 
@@ -76,9 +71,9 @@ class EncodedSample:
     def logical_circuit(self) -> QuantumCircuit:
         """The bound logical ansatz circuit (built lazily on first use).
 
-        The batched fast path never needs it — the template binds the
-        transpiled circuit directly from the angles — so constructing it
-        eagerly for every sample would be pure overhead.
+        Lowering never needs it — the template binds the transpiled
+        circuit directly from the angles — so it is only built on
+        request.
         """
         if self.logical is None:
             if self.ansatz is None:
@@ -174,31 +169,16 @@ class FinetuneStage:
         )
 
 
-class BindStage:
-    """Angles → logical circuit: instantiate the fixed-shape ansatz."""
-
-    def __init__(self, ansatz: EnQodeAnsatz) -> None:
-        self.ansatz = ansatz
-
-    def run(self, theta: np.ndarray) -> QuantumCircuit:
-        return self.ansatz.circuit(theta)
-
-
 class LowerStage:
-    """Lower a bound embedding to the backend's native gate set.
+    """Lower bound angles to the backend's native gate set.
 
-    Two modes, numerically identical (asserted at template build):
-
-    * :meth:`template` returns the cached parametric template for the
-      pipeline's (ansatz, backend, optimization_level) — lowering is
-      then one cheap vectorized angle re-bind for the whole batch
-      (:meth:`repro.transpile.template.ParametricTemplate.bind_batch`),
-      yielding lazy compact-IR circuits
-      (:class:`repro.transpile.bound.BoundCircuit`: packed angle arrays
-      per sample, instructions materialized only on demand);
-    * :meth:`run` performs the full transpile of a logical circuit (the
-      escape hatch, and the mode the one-off ``encode`` shim keeps for
-      behavioural compatibility).
+    :meth:`template` returns the cached parametric template for the
+    pipeline's (ansatz, backend, optimization_level); lowering a batch is
+    then one vectorized angle re-bind
+    (:meth:`repro.transpile.template.ParametricTemplate.bind_batch`),
+    yielding lazy compact-IR circuits
+    (:class:`repro.transpile.bound.BoundCircuit`: packed angle arrays per
+    sample, instructions materialized only on demand).
     """
 
     def __init__(
@@ -224,13 +204,6 @@ class LowerStage:
             self.ansatz, self.backend, self.optimization_level
         )
 
-    def run(self, logical: QuantumCircuit) -> TranspileResult:
-        return transpile(
-            logical,
-            self.backend,
-            optimization_level=self.optimization_level,
-        )
-
 
 @dataclass
 class PipelineStats:
@@ -238,10 +211,9 @@ class PipelineStats:
 
     The four timing buckets mirror the stage split: ``route_seconds``
     (nearest-cluster assignment), ``finetune_seconds`` (the L-BFGS
-    drive), ``bind_seconds`` (instantiating circuits from angles — the
-    batched template bind in template mode, the logical-circuit build
-    otherwise), and ``lower_seconds`` (template fetch/build plus any
-    full per-sample transpiles).  ``template_binds`` counts every *row*
+    drive), ``bind_seconds`` (the batched template bind of the angles),
+    and ``lower_seconds`` (the template fetch, which builds the template
+    on a cache miss).  ``template_binds`` counts every *row*
     lowered through a cached template (a ``bind_batch`` of ``B``
     samples counts ``B``), feeding the serving layer's bind
     accounting.  ``batch_sizes`` keeps only the most recent runs
@@ -263,16 +235,16 @@ class PipelineStats:
 
 @dataclass
 class PipelineRunReport:
-    """Per-run stage accounting for one :meth:`EncodePipeline.run`.
+    """Per-run stage accounting for one :meth:`EncodePipeline.run_reported`.
 
     Each run accumulates its own report and applies it to the shared
     :class:`PipelineStats` in a single locked step when it completes, so
     concurrent runs (service worker-pool flushes sharing one pipeline)
     never interleave half-applied counters, and callers can read *this
     run's* contribution directly instead of diffing the shared totals
-    (which races when flushes overlap).  ``template_hit`` is ``None``
-    for full-transpile runs, else whether the template fetch hit the
-    process-wide cache.
+    (which races when flushes overlap).  ``template_hit`` says whether
+    the template fetch hit the process-wide cache (``None`` for an
+    empty run, which fetches nothing).
     """
 
     batch_size: int = 0
@@ -285,7 +257,7 @@ class PipelineRunReport:
 
 
 class EncodePipeline:
-    """The composed route → finetune → bind → lower online pipeline.
+    """The composed route → finetune → lower online pipeline.
 
     Built once per fitted encoder (see
     :attr:`repro.core.encoder.EnQodeEncoder.pipeline`) and shared by the
@@ -315,7 +287,6 @@ class EncodePipeline:
             self.preprocess = None
         self.route = RouteStage(transfer)
         self.finetune = FinetuneStage(transfer)
-        self.bind = BindStage(ansatz)
         self.lower = LowerStage(ansatz, backend, optimization_level)
         #: Optional chaos hook (see :mod:`repro.service.resilience`):
         #: when set, every stage of :meth:`run_reported` fires its site
@@ -351,55 +322,35 @@ class EncodePipeline:
     def prepare(self, samples: np.ndarray) -> np.ndarray:
         """Validate, preprocess, and unit-normalize a sample matrix.
 
-        Accepts ``(B, input_size)`` raw rows; with a preprocessor
-        attached they pass through the learned map (already
-        renormalized) first, so every downstream stage — and every
-        caller of this pipeline — only ever sees ``(B, 2^n)`` unit
-        rows.
+        Accepts ``(B, input_size)`` raw rows and rejects malformed ones
+        through :func:`repro.data.preprocess.validate_samples` (an
+        :class:`~repro.errors.OptimizationError`).  With a preprocessor
+        attached the rows pass through the learned map first, so every
+        downstream stage — and every caller of this pipeline — only ever
+        sees ``(B, 2^n)`` unit rows.
         """
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        if self.preprocess is not None:
-            if samples.shape[0] == 0:
-                return np.empty((0, self.num_amplitudes))
-            samples = self.preprocess.run(samples)
-        if samples.ndim != 2 or samples.shape[1] != self.num_amplitudes:
-            raise OptimizationError(
-                f"samples must be (B, {self.num_amplitudes}), "
-                f"got {samples.shape}"
-            )
+        samples = validate_samples(samples, self.input_size, OptimizationError)
         if samples.shape[0] == 0:
-            return samples
-        norms = np.linalg.norm(samples, axis=1, keepdims=True)
-        if np.any(norms < 1e-12):
-            raise OptimizationError("cannot embed a zero sample row")
-        return samples / norms
-
-    def run(
-        self, samples: np.ndarray, use_template: bool = True
-    ) -> list[EncodedSample]:
-        """Drive ``samples`` through all four stages (see ``run_reported``)."""
-        return self.run_reported(samples, use_template=use_template)[0]
+            return np.empty((0, self.num_amplitudes))
+        if self.preprocess is not None:
+            samples = self.preprocess.run(samples)
+        return samples / np.linalg.norm(samples, axis=1, keepdims=True)
 
     def run_reported(
-        self, samples: np.ndarray, use_template: bool = True
+        self, samples: np.ndarray
     ) -> "tuple[list[EncodedSample], PipelineRunReport]":
-        """Drive ``samples`` through all four stages, with a run report.
+        """Drive ``samples`` through every stage, with a run report.
 
-        With ``use_template`` the whole batch lowers through one
-        vectorized :meth:`ParametricTemplate.bind_batch` sweep over the
-        cached parametric template (the batch/service fast path); each
-        :attr:`EncodedSample.circuit` is then a lazy compact-IR view
-        (:class:`repro.transpile.bound.BoundCircuit`) that simulates
-        straight off the packed bind arrays and materializes an
-        instruction stream identical to a per-sample bind only when
-        iterated.  Without ``use_template`` each
-        sample's logical circuit is built by the *bind* stage and fully
-        transpiled (the one-off ``encode`` behaviour).  Per-sample
-        ``compile_time`` carries an even share of the shared stage work
-        (routing, fine-tune drive, one-time template build on a cache
-        miss, and the batched bind sweep in template mode) plus any
-        per-sample lowering time, so it sums back to actual wall time
-        over the batch.
+        The whole batch lowers through one vectorized
+        :meth:`ParametricTemplate.bind_batch` sweep over the cached
+        template; each :attr:`EncodedSample.circuit` is a lazy compact-IR
+        view (:class:`repro.transpile.bound.BoundCircuit`) that simulates
+        straight off the packed bind arrays and materializes the same
+        instruction stream as :func:`repro.transpile.transpiler.transpile`
+        only when iterated.  Per-sample ``compile_time`` is an even share
+        of the run's stage work (routing, fine-tune drive, template
+        fetch — a one-time build on a cache miss — and the bind), so it
+        sums back to the run's wall time.
 
         The returned :class:`PipelineRunReport` is this run's own stage
         accounting; the shared :attr:`stats` totals absorb it in one
@@ -416,92 +367,23 @@ class EncodePipeline:
         self._fire_fault("finetune")
         with Timer() as tune_timer:
             outcomes = self.finetune.run(plan)
-        self._fire_fault("lower")
-        with Timer() as template_timer:
-            # On a cold cache this pays the one-time structural transpile;
-            # its cost is amortized into every sample's compile_time below.
-            if use_template:
-                template, report.template_hit = self.lower.template_reported()
-            else:
-                template = None
-        self._fire_fault("bind")
-        shared_time = (
-            route_timer.elapsed + tune_timer.elapsed + template_timer.elapsed
-        ) / len(outcomes)
-
-        encoded: list[EncodedSample] = []
-        bind_seconds = 0.0
-        lower_seconds = template_timer.elapsed
-        if template is not None:
-            # The whole batch lowers through one vectorized
-            # ParametricTemplate.bind_batch sweep; each sample's
-            # compile_time carries an even share of it.
-            thetas = np.asarray([outcome.theta for outcome in outcomes])
-            with Timer() as bind_timer:
-                transpiled_batch = template.bind_batch(thetas)
-            bind_seconds = bind_timer.elapsed
-            bind_share = bind_timer.elapsed / len(outcomes)
-            report.template_binds = len(outcomes)
-            for sample, outcome, transpiled in zip(
-                samples, outcomes, transpiled_batch
-            ):
-                encoded.append(
-                    EncodedSample(
-                        target=sample,
-                        theta=outcome.theta,
-                        cluster_index=outcome.cluster_index,
-                        ideal_fidelity=outcome.fidelity,
-                        transpiled=transpiled,
-                        compile_time=shared_time + bind_share,
-                        optimizer_iterations=outcome.result.num_iterations,
-                        optimizer_evaluations=outcome.result.num_evaluations,
-                        ansatz=self.ansatz,
-                        logical=None,
-                    )
-                )
-        else:
-            for sample, outcome in zip(samples, outcomes):
-                with Timer() as bind_timer:
-                    logical = self.bind.run(outcome.theta)
-                with Timer() as lower_timer:
-                    transpiled = self.lower.run(logical)
-                bind_seconds += bind_timer.elapsed
-                lower_seconds += lower_timer.elapsed
-                encoded.append(
-                    EncodedSample(
-                        target=sample,
-                        theta=outcome.theta,
-                        cluster_index=outcome.cluster_index,
-                        ideal_fidelity=outcome.fidelity,
-                        transpiled=transpiled,
-                        compile_time=shared_time
-                        + bind_timer.elapsed
-                        + lower_timer.elapsed,
-                        optimizer_iterations=outcome.result.num_iterations,
-                        optimizer_evaluations=outcome.result.num_evaluations,
-                        ansatz=self.ansatz,
-                        logical=logical,
-                    )
-                )
         report.route_seconds = route_timer.elapsed
         report.finetune_seconds = tune_timer.elapsed
-        report.bind_seconds = bind_seconds
-        report.lower_seconds = lower_seconds
-        self._apply_report(report, len(encoded))
-        return encoded, report
-
-    def run_degraded(
-        self, samples: np.ndarray, use_template: bool = True
-    ) -> list[EncodedSample]:
-        """Finetune-skipped fallback (see :meth:`run_degraded_reported`)."""
-        return self.run_degraded_reported(
-            samples, use_template=use_template
-        )[0]
+        results = [outcome.result for outcome in outcomes]
+        return self._lower(
+            samples,
+            plan.indices,
+            [result.theta for result in results],
+            [result.fidelity for result in results],
+            report,
+            results=results,
+            fire_faults=True,
+        )
 
     def run_degraded_reported(
-        self, samples: np.ndarray, use_template: bool = True
+        self, samples: np.ndarray
     ) -> "tuple[list[EncodedSample], PipelineRunReport]":
-        """Route and bind only: the *finetune* stage is skipped entirely.
+        """Route and lower only: the *finetune* stage is skipped entirely.
 
         This is the paper's offline/online split exploited as a
         graceful-degradation fallback (the service's ``"degrade"``
@@ -532,66 +414,70 @@ class EncodePipeline:
                 self.transfer.symbolic, self.ansatz, samples
             )
             fidelities = objective.fidelities(thetas)
-        with Timer() as template_timer:
-            if use_template:
-                template, report.template_hit = self.lower.template_reported()
-            else:
-                template = None
-        shared_time = (
-            route_timer.elapsed + template_timer.elapsed
-        ) / samples.shape[0]
-
-        encoded: list[EncodedSample] = []
-        bind_seconds = 0.0
-        lower_seconds = template_timer.elapsed
-        if template is not None:
-            with Timer() as bind_timer:
-                transpiled_batch = template.bind_batch(thetas)
-            bind_seconds = bind_timer.elapsed
-            bind_share = bind_timer.elapsed / samples.shape[0]
-            report.template_binds = samples.shape[0]
-            for row in range(samples.shape[0]):
-                encoded.append(
-                    EncodedSample(
-                        target=samples[row],
-                        theta=thetas[row],
-                        cluster_index=int(plan.indices[row]),
-                        ideal_fidelity=float(fidelities[row]),
-                        transpiled=transpiled_batch[row],
-                        compile_time=shared_time + bind_share,
-                        optimizer_iterations=0,
-                        optimizer_evaluations=0,
-                        ansatz=self.ansatz,
-                        logical=None,
-                    )
-                )
-        else:
-            for row in range(samples.shape[0]):
-                with Timer() as bind_timer:
-                    logical = self.bind.run(thetas[row])
-                with Timer() as lower_timer:
-                    transpiled = self.lower.run(logical)
-                bind_seconds += bind_timer.elapsed
-                lower_seconds += lower_timer.elapsed
-                encoded.append(
-                    EncodedSample(
-                        target=samples[row],
-                        theta=thetas[row],
-                        cluster_index=int(plan.indices[row]),
-                        ideal_fidelity=float(fidelities[row]),
-                        transpiled=transpiled,
-                        compile_time=shared_time
-                        + bind_timer.elapsed
-                        + lower_timer.elapsed,
-                        optimizer_iterations=0,
-                        optimizer_evaluations=0,
-                        ansatz=self.ansatz,
-                        logical=logical,
-                    )
-                )
         report.route_seconds = route_timer.elapsed
-        report.bind_seconds = bind_seconds
-        report.lower_seconds = lower_seconds
+        return self._lower(
+            samples,
+            plan.indices,
+            thetas,
+            [float(fidelity) for fidelity in fidelities],
+            report,
+            results=None,
+            fire_faults=False,
+        )
+
+    def _lower(
+        self,
+        samples: np.ndarray,
+        indices: np.ndarray,
+        thetas,
+        fidelities: list,
+        report: PipelineRunReport,
+        results: "list[OptimizationResult] | None",
+        fire_faults: bool,
+    ) -> "tuple[list[EncodedSample], PipelineRunReport]":
+        """The shared lowering tail: template fetch, one ``bind_batch``,
+        the :class:`EncodedSample` list and the applied report.
+
+        ``thetas`` holds one angle row per sample; ``results`` carries
+        the fine-tune's per-row optimizer counts (``None`` when the
+        stage was skipped).
+        """
+        if fire_faults:
+            self._fire_fault("lower")
+        with Timer() as template_timer:
+            # On a cold cache this pays the one-time structural transpile.
+            template, report.template_hit = self.lower.template_reported()
+        if fire_faults:
+            self._fire_fault("bind")
+        with Timer() as bind_timer:
+            transpiled = template.bind_batch(thetas)
+        report.lower_seconds = template_timer.elapsed
+        report.bind_seconds = bind_timer.elapsed
+        report.template_binds = len(transpiled)
+        compile_time = (
+            report.route_seconds
+            + report.finetune_seconds
+            + report.lower_seconds
+            + report.bind_seconds
+        ) / len(transpiled)
+        if results is None:
+            counts = [(0, 0)] * len(transpiled)
+        else:
+            counts = [(r.num_iterations, r.num_evaluations) for r in results]
+        encoded = [
+            EncodedSample(
+                target=samples[row],
+                theta=thetas[row],
+                cluster_index=int(indices[row]),
+                ideal_fidelity=fidelities[row],
+                transpiled=transpiled[row],
+                compile_time=compile_time,
+                optimizer_iterations=iterations,
+                optimizer_evaluations=evaluations,
+                ansatz=self.ansatz,
+            )
+            for row, (iterations, evaluations) in enumerate(counts)
+        ]
         self._apply_report(report, len(encoded))
         return encoded, report
 
@@ -621,7 +507,6 @@ class EncodePipeline:
 
 
 __all__ = [
-    "BindStage",
     "EncodePipeline",
     "EncodedSample",
     "FinetuneStage",

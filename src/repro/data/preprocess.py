@@ -14,6 +14,60 @@ from repro.data.pca import PCA
 from repro.errors import DataError
 
 
+def as_real_rows(samples, error: type, *, single: bool = False) -> np.ndarray:
+    """``samples`` as a float matrix, or ``error`` if they are not real.
+
+    Rejects anything numpy cannot read as one rectangular array, any
+    dtype that is not bool/int/float/complex (strings, objects), and
+    complex input with a nonzero imaginary part; a complex array whose
+    imaginary parts are all zero passes as its real part.  ``single``
+    flattens the input into one row (a one-sample entry point);
+    otherwise 1-d input becomes a one-row matrix.
+    """
+    try:
+        rows = np.asarray(samples)
+    except (TypeError, ValueError) as exc:
+        raise error(f"samples must be a numeric array ({exc})") from None
+    if rows.dtype.kind == "c":
+        if rows.imag.any():
+            raise error(
+                "samples must be real; some entries have a nonzero "
+                "imaginary part"
+            )
+        rows = rows.real
+    elif rows.dtype.kind not in "biuf":
+        raise error(f"samples must be numeric, got dtype {rows.dtype}")
+    rows = rows.astype(float, copy=False)
+    return rows.reshape(1, -1) if single else np.atleast_2d(rows)
+
+
+def validate_samples(
+    samples, width: "int | None", error: type, *, single: bool = False
+) -> np.ndarray:
+    """The input check of every online entry point.
+
+    :meth:`repro.core.pipeline.EncodePipeline.prepare`,
+    :meth:`repro.core.encoder.EnQodeEncoder.project` and the service's
+    ``submit``/``predict`` all call this, each passing the
+    :class:`~repro.errors.ReproError` subclass it raises.  Returns the
+    samples as a ``(B, width)`` float matrix (see :func:`as_real_rows`
+    for ``single``) after rejecting rows that are non-numeric, complex
+    with a nonzero imaginary part, the wrong width (skipped when
+    ``width`` is ``None``), non-finite, or of norm below 1e-12.
+    """
+    rows = as_real_rows(samples, error, single=single)
+    if width is not None and (rows.ndim != 2 or rows.shape[1] != width):
+        raise error(f"samples must be (B, {width}), got {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise error("samples contain non-finite entries (NaN or inf)")
+    if (np.linalg.norm(rows, axis=-1) < 1e-12).any():
+        raise error(
+            "cannot embed a zero sample row (amplitude embedding is "
+            "undefined for the zero vector)"
+        )
+    return rows
+
+
 def normalize_rows(features: np.ndarray, min_norm: float = 1e-12) -> np.ndarray:
     """Scale every row to unit Euclidean norm (AE compatibility)."""
     features = np.asarray(features, dtype=float)
@@ -47,7 +101,7 @@ def prepare_amplitudes(
     mismatch, so callers can tell input problems from optimization
     failures.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=float))
+    features = as_real_rows(features, DataError)
     if features.ndim != 2:
         raise DataError(
             f"features must be 1-d or 2-d, got shape {features.shape}"

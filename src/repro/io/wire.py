@@ -204,11 +204,11 @@ def dump_encoded_batch(
     record (kind 4): per-sample metadata + stage report + the bound
     batch.
 
-    Every sample must be a template-path :class:`~repro.core.pipeline.
-    EncodedSample` whose circuits are rows of one
-    :class:`BoundCircuitBatch` — exactly what a ``use_template=True``
-    flush produces.  The default ``include_synthesis=True`` trades ~3x
-    payload for a zero-recompute decode: the process backend's parent
+    Every sample must be an :class:`~repro.core.pipeline.EncodedSample`
+    whose circuits are rows of one :class:`BoundCircuitBatch` — exactly
+    what one pipeline run produces.  The default
+    ``include_synthesis=True`` trades ~3x payload for a zero-recompute
+    decode: the process backend's parent
     side reconstructs the batch from the packed arrays instead of
     rebinding, keeping response decode off the hot path's flop budget.
     Target rows deliberately do not cross the wire — the decoder's
@@ -223,9 +223,8 @@ def dump_encoded_batch(
         {id(c.bound_batch) for c in circuits}
     ) != 1:
         raise SerializationError(
-            "encoded-batch records need template-path samples (rows of "
-            "one BoundCircuitBatch); this batch was lowered per-sample "
-            "(use_template=False?)"
+            "encoded-batch records need the samples of one pipeline "
+            "run (rows of one BoundCircuitBatch)"
         )
     batch = circuits[0].bound_batch.take([c.bound_row for c in circuits])
     out = bytearray(_header(KIND_ENCODED_BATCH))

@@ -89,7 +89,7 @@ class QMLModel:
     def embed(self, samples: np.ndarray) -> np.ndarray:
         """Embedded statevectors of ``samples`` as a ``(B, 2^n)`` matrix.
 
-        One ``encode_batch`` run (template-mode compact IR), each
+        One ``encode_batch`` run (template-bound compact IR), each
         circuit simulated off its packed bind arrays — these are the
         *prepared* states (fidelity ~``target_fidelity`` to the ideal
         amplitudes), i.e. exactly what hardware would hand the

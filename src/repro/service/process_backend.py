@@ -99,7 +99,7 @@ def _describe_error(exc: Exception) -> tuple:
     )
 
 
-def _worker_main(conn, index: int, use_template: bool, bundles) -> None:
+def _worker_main(conn, index: int, bundles) -> None:
     """Entry point of one worker process.
 
     Rebuilds every shipped bundle into a fitted-encoder replica, then
@@ -146,8 +146,7 @@ def _worker_main(conn, index: int, use_template: bool, bundles) -> None:
                 # snapshot of the parent's, so this run is bit-identical
                 # to the parent running encode_batch on these samples.
                 encoded, report = encoder.pipeline.run_reported(
-                    np.asarray(samples, dtype=float),
-                    use_template=use_template,
+                    np.asarray(samples, dtype=float)
                 )
                 blob = dump_encoded_batch(
                     encoded, report, include_synthesis=True
@@ -483,7 +482,7 @@ class ProcessBackend(ThreadBackend):
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, index, self.service.use_template, bundles),
+            args=(child_conn, index, bundles),
             name=f"enqode-procworker-{index}",
             daemon=True,
         )
@@ -534,12 +533,7 @@ class ProcessBackend(ThreadBackend):
                 parent_conn, child_conn = self._ctx.Pipe()
                 proc = self._ctx.Process(
                     target=_worker_main,
-                    args=(
-                        child_conn,
-                        slot.index,
-                        self.service.use_template,
-                        bundles,
-                    ),
+                    args=(child_conn, slot.index, bundles),
                     name=f"enqode-procworker-{slot.index}",
                     daemon=True,
                 )

@@ -152,8 +152,8 @@ class ServiceStats:
     template counters are the transpile-cache hits/misses incurred by
     this service's flushes only, and ``template_binds`` counts the
     *rows* this service lowered through a cached template — one per
-    sample of every template-mode flush, whether the flush bound them
-    one at a time or through a single vectorized ``bind_batch`` sweep.
+    sample of every flush, each flush binding its rows through a single
+    vectorized ``bind_batch`` sweep.
 
     Under the ``"thread"`` backend several flushes race: each flush
     applies its whole contribution (counts, sums, and the latency-window

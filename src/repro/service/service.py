@@ -64,6 +64,7 @@ import numpy as np
 
 from repro.core.config import ServiceConfig
 from repro.core.encoder import EnQodeEncoder
+from repro.data.preprocess import validate_samples
 from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -187,9 +188,6 @@ class EncodingService:
         ``submit`` or ``poll`` call.  Thread backend: the background
         flusher wakes and flushes it with no traffic required.  ``None``
         (default) disables the deadline — callers flush explicitly.
-    use_template:
-        Lower via the cached parametric transpile template (the fast
-        path, default) or full per-sample transpiles (escape hatch).
     backend:
         ``"sync"`` (default) or ``"thread"`` — see
         :class:`~repro.core.config.ServiceConfig`.  The thread backend
@@ -211,7 +209,6 @@ class EncodingService:
         config: "ServiceConfig | None" = None,
         max_batch: int = 32,
         max_delay: "float | None" = None,
-        use_template: bool = True,
         backend: str = "sync",
         workers: int = 4,
         max_pending_per_key: "int | None" = None,
@@ -238,7 +235,6 @@ class EncodingService:
                 workers=workers,
                 max_batch=max_batch,
                 max_delay=max_delay,
-                use_template=use_template,
                 max_pending_per_key=max_pending_per_key,
                 max_pending_total=max_pending_total,
                 overload_policy=overload_policy,
@@ -258,7 +254,6 @@ class EncodingService:
         self.batcher = MicroBatcher(
             max_batch=config.max_batch, max_delay=config.max_delay
         )
-        self.use_template = config.use_template
         self.clock = clock
         #: One lock guards the batcher, the ticket table, and the stats
         #: counters; the thread backend's condition variables share it.
@@ -483,7 +478,7 @@ class EncodingService:
         flusher — it returns immediately and is safe from any thread;
         wait on the ticket (``result(timeout=...)``) for the response.
         """
-        sample = self._validate(np.asarray(sample, dtype=float).ravel())
+        sample = validate_samples(sample, None, ServiceError, single=True)[0]
         if deadline is not None and deadline <= 0.0:
             raise ServiceError(
                 "deadline must be > 0 seconds (relative to submission)"
@@ -584,9 +579,9 @@ class EncodingService:
         ticket = EncodeTicket(request=request, _service=self)
         try:
             pipeline = self.registry.get(key).pipeline
-            encoded = pipeline.run_degraded(
-                sample[np.newaxis, :], use_template=self.use_template
-            )[0]
+            encoded = pipeline.run_degraded_reported(
+                sample[np.newaxis, :]
+            )[0][0]
         except Exception as exc:
             with self._lock:
                 self._failed += 1
@@ -614,18 +609,6 @@ class EncodingService:
             )
         ticket._complete(response)
         return ticket
-
-    def _validate(self, sample: np.ndarray) -> np.ndarray:
-        if sample.size == 0:
-            raise ServiceError("cannot submit an empty sample")
-        if not np.all(np.isfinite(sample)):
-            raise ServiceError("sample contains non-finite entries")
-        if np.linalg.norm(sample) < 1e-12:
-            raise ServiceError(
-                "cannot submit the zero vector (amplitude embedding is "
-                "undefined for it)"
-            )
-        return sample
 
     def _serve_ticket(
         self, ticket: EncodeTicket, flush: bool, timeout: "float | None"
@@ -695,7 +678,6 @@ class EncodingService:
         (it is already batched; there is no queue to amortize).  With
         one registered model ``key`` may be omitted.
         """
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
         if key is None:
             model_keys = self.registry.model_keys()
             if len(model_keys) != 1:
@@ -706,13 +688,7 @@ class EncodingService:
                 )
             key = model_keys[0]
         model = self.registry.model(key)
-        if samples.ndim != 2 or samples.shape[1] != model.input_size:
-            raise ServiceError(
-                f"samples must be (B, {model.input_size}), "
-                f"got {samples.shape}"
-            )
-        for row in samples:
-            self._validate(row)
+        samples = validate_samples(samples, model.input_size, ServiceError)
         labels = model.predict(samples)
         with self._lock:
             self._predictions += samples.shape[0]
@@ -980,7 +956,7 @@ class EncodingService:
         if backend_impl is not None and backend_impl.owns_execution:
             request_ids = [request.request_id for request in requests]
             return backend_impl.run_pipeline(key, request_ids, samples)
-        return pipeline.run_reported(samples, use_template=self.use_template)
+        return pipeline.run_reported(samples)
 
     # -- circuit breakers ----------------------------------------------------------
 

@@ -6,7 +6,6 @@ from repro.transpile.euler import (
     PackedSynthesis,
     physical_1q_cost,
     synthesize_1q,
-    synthesize_1q_batch,
     synthesize_1q_packed_batch,
     zyz_decompose,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "route",
     "schedule_duration",
     "synthesize_1q",
-    "synthesize_1q_batch",
     "synthesize_1q_packed_batch",
     "translate_1q",
     "transpile",

@@ -22,9 +22,10 @@ choose their own level of materialization:
 * gate counts and histograms come from the template's precomputed
   skeleton plus a per-run array scan — no instruction list needed;
 * :meth:`BoundCircuit.materialize` (or any instruction access — the
-  instruction list is a lazily-built cached property) expands today's
-  eager ``Instruction`` stream on demand, **float-bit identical** to
-  what the eager per-sample ``bind`` emits.
+  instruction list is a lazily-built cached property) expands the
+  ``Instruction`` stream on demand, **float-bit identical** to what
+  :func:`repro.transpile.transpiler.transpile` emits for the same
+  angles.
 
 :class:`BoundCircuit` subclasses :class:`~repro.quantum.circuit.
 QuantumCircuit`, so every existing consumer (drawing, metrics, the
@@ -104,12 +105,12 @@ class BoundCircuitBatch:
     # -- materialization ------------------------------------------------------
 
     def materialize_row(self, row: int) -> list[Instruction]:
-        """Expand one row to the eager instruction stream.
+        """Expand one row to its instruction stream.
 
-        Walks the template's bind program exactly as the eager per-sample
-        ``bind`` does, reading angles out of the packed arrays — the
-        emitted instructions are float-bit identical to the eager path
-        (fixed blocks share the very same ``Instruction`` objects).
+        Walks the template's bind program, reading angles out of the
+        packed arrays — the emitted instructions are float-bit identical
+        to the full transpile of the row's bound ansatz (fixed blocks
+        share the very same ``Instruction`` objects across rows).
         """
         out: list[Instruction] = []
         for step in self.template._program:
@@ -216,7 +217,7 @@ class BoundCircuit(QuantumCircuit):
     packed arrays; simulation goes through :meth:`ir_statevector`.  Any
     other instruction access — iteration, ``depth``, drawing —
     materializes once and caches, after which the object behaves exactly
-    like the eager circuit it is float-bit identical to.
+    like the plain circuit it is float-bit identical to.
     """
 
     def __init__(self, batch: BoundCircuitBatch, row: int) -> None:
@@ -256,12 +257,12 @@ class BoundCircuit(QuantumCircuit):
         return self._row
 
     def materialize(self) -> QuantumCircuit:
-        """Expand to a plain eager :class:`QuantumCircuit`.
+        """Expand to a plain :class:`QuantumCircuit`.
 
         Always performs a fresh program walk (cost: one list build plus
         one lazy Rz instruction per parametric angle — microseconds per
         circuit); the result is float-bit instruction-identical to the
-        eager ``bind`` output for the same angles.
+        full transpile for the same angles.
         """
         return QuantumCircuit.trusted(
             self.num_qubits, self.name, self._batch.materialize_row(self._row)

@@ -13,9 +13,10 @@ This is the same 0/1/2-SX strategy qiskit's
 ``Optimize1qGatesDecomposition`` applies, verified here against dense
 matrices in the test suite.
 
-:func:`synthesize_1q` handles one matrix; :func:`synthesize_1q_batch`
-synthesizes a whole ``(B, 2, 2)`` stack in one sweep with bit-identical
-output per row (the parametric template's batched bind hot path).
+:func:`synthesize_1q` handles one matrix;
+:func:`synthesize_1q_packed_batch` synthesizes a whole ``(B, 2, 2)``
+stack in one sweep into packed arrays, bit-identical per row to the
+scalar function (the parametric template's batched bind hot path).
 """
 
 from __future__ import annotations
@@ -153,9 +154,6 @@ def synthesize_1q(matrix: np.ndarray, atol: float = 1e-9) -> list[NativeOp]:
     return ops
 
 
-#: Parameterless native ops are immutable — emit one shared tuple.
-_SX_OP: NativeOp = ("sx", ())
-
 #: Row kinds in a :class:`PackedSynthesis`.
 PACKED_GENERIC = 0  # generic ZXZXZ row: angles carry (w_lam, w_mid, w_phi)
 PACKED_DROPPED = 1  # identity up to phase: the row emits nothing
@@ -178,9 +176,7 @@ class PackedSynthesis:
 
     This is the per-sample payload of the bound-circuit IR: three
     doubles and one byte per merged run instead of an instruction-object
-    graph.  :meth:`to_program_rows` expands to the legacy per-row
-    program encoding (``None`` / 3-tuple / op list) with identical float
-    bits.
+    graph.
     """
 
     __slots__ = ("angles", "kinds", "specials")
@@ -250,19 +246,6 @@ class PackedSynthesis:
         if num_rz:
             counts["rz"] = counts.get("rz", 0) + num_rz
 
-    def to_program_rows(self) -> list:
-        """Expand to the per-row program encoding (see
-        :func:`synthesize_1q_program_batch`), float bits preserved."""
-        program: list = [None] * len(self)
-        generic = np.flatnonzero(self.kinds == PACKED_GENERIC)
-        if generic.size:
-            triples = self.angles[generic].tolist()
-            for row, triple in zip(generic.tolist(), triples):
-                program[row] = tuple(triple)
-        for row, ops in self.specials.items():
-            program[row] = ops
-        return program
-
 
 def synthesize_1q_packed_batch(
     matrices: np.ndarray,
@@ -272,16 +255,40 @@ def synthesize_1q_packed_batch(
     identity_atol: float = 1e-12,
     identity_rtol: float = 1e-5,
 ) -> PackedSynthesis:
-    """Batched ZYZ synthesis into the packed array encoding.
+    """Batched :func:`synthesize_1q` over a ``(B, 2, 2)`` unitary stack.
 
-    The workhorse behind :func:`synthesize_1q_program_batch` and
-    :func:`synthesize_1q_batch` (same numerics, same per-row bit-exactness
-    guarantees — see the latter's docstring for the full argument).  The
-    result stays in array form — per-row wrapped angles with NaN-marked
-    skipped Rz slots plus a ``kinds`` discriminator — which is exactly
-    the payload the bound-circuit IR
-    (:class:`repro.transpile.bound.BoundCircuitBatch`) keeps per sample:
-    no per-gate Python objects are built here at all.
+    The result stays in array form — per-row wrapped angles with
+    NaN-marked skipped Rz slots plus a ``kinds`` discriminator (see
+    :class:`PackedSynthesis`) — which is exactly the payload the
+    bound-circuit IR (:class:`repro.transpile.bound.BoundCircuitBatch`)
+    keeps per sample: no per-gate Python objects are built here at all.
+
+    Each row expands to the op list :func:`synthesize_1q` returns for
+    that slice, **bit for bit**.  Bit-identity would not survive naive
+    vectorization — numpy's complex multiply/divide and ``arctan2``
+    kernels round differently from CPython's in the last ulp, and near
+    the ±pi Euler branch cut one ulp flips an emitted Rz sign — so the
+    angle extraction *replicates the scalar operation sequence* with
+    exact real-arithmetic kernels instead: the determinant uses
+    CPython's complex-product expansion componentwise, its square root
+    is CPython's ``cmath.sqrt`` algorithm rebuilt from real
+    ``sqrt``/``hypot``/``copysign``, the SU(2) projection is CPython's
+    Smith-algorithm complex division with the branch select vectorized,
+    and ``|z|`` is ``hypot`` in both worlds.  Only the ``atan2``-class
+    calls (theta and the two ``cmath.phase`` values) stay scalar, in
+    tight ``math.atan2`` loops.  Downstream of the angles, the
+    (-pi, pi] wraps, the 0/1/2-SX case masks and the dominant ZXZXZ
+    emission are vectorized with kernels that are bitwise-identical to
+    the scalar ones (``fmod``, elementwise add/abs, comparisons).  Rows
+    that hit a 0- or 1-SX special case (a masked minority) fall back to
+    the scalar :func:`synthesize_1q` wholesale.
+
+    With ``drop_identity``, rows that are the identity up to global
+    phase — the same entrywise ``allclose`` replica the template's
+    merged-run binding applies (``identity_atol``/``identity_rtol``) —
+    become ``PACKED_DROPPED`` rows that expand to nothing, mirroring how
+    ``merge_1q_runs`` drops such runs entirely; the thresholds agree
+    bit for bit because ``|z|`` is ``hypot`` in both worlds.
     """
     u = np.asarray(matrices, dtype=complex)
     if u.ndim != 3 or u.shape[1:] != (2, 2):
@@ -418,105 +425,6 @@ def synthesize_1q_packed_batch(
             all_kinds[row] = PACKED_SPECIAL
             specials[row] = synthesize_1q(u[row], atol)
     return PackedSynthesis(all_angles, all_kinds, specials)
-
-
-def synthesize_1q_program_batch(
-    matrices: np.ndarray,
-    atol: float = 1e-9,
-    *,
-    drop_identity: bool = False,
-    identity_atol: float = 1e-12,
-    identity_rtol: float = 1e-5,
-) -> list:
-    """Batched ZYZ synthesis in the compact "bind program" encoding.
-
-    Thin expansion of :func:`synthesize_1q_packed_batch` (same numerics,
-    same per-row guarantees).  Each returned row is one of
-
-    * ``None`` — the row was identity up to phase (only with
-      ``drop_identity``) and emits nothing;
-    * a 3-tuple ``(w_lam, w_mid, w_phi)`` — the generic ZXZXZ case,
-      read as ``rz(w_lam) sx rz(w_mid) sx rz(w_phi)`` where a ``NaN``
-      component marks an Rz whose wrapped angle fell below ``atol``
-      and is skipped;
-    * a ``list[NativeOp]`` — a 0/1-SX special case synthesized by the
-      scalar fallback.
-
-    Hot-loop consumers (the parametric transpile template's bound IR)
-    consume the packed form directly; this per-row encoding serves
-    :func:`synthesize_1q_batch` and any caller that wants Python rows.
-    """
-    return synthesize_1q_packed_batch(
-        matrices,
-        atol,
-        drop_identity=drop_identity,
-        identity_atol=identity_atol,
-        identity_rtol=identity_rtol,
-    ).to_program_rows()
-
-
-def synthesize_1q_batch(
-    matrices: np.ndarray,
-    atol: float = 1e-9,
-    *,
-    drop_identity: bool = False,
-    identity_atol: float = 1e-12,
-    identity_rtol: float = 1e-5,
-) -> "list[list[NativeOp] | None]":
-    """Batched :func:`synthesize_1q` over a ``(B, 2, 2)`` unitary stack.
-
-    Returns one op list per row, **bit-identical** to calling
-    :func:`synthesize_1q` on each slice.  Bit-identity would not
-    survive naive vectorization — numpy's complex multiply/divide and
-    ``arctan2`` kernels round differently from CPython's in the last
-    ulp, and near the ±pi Euler branch cut one ulp flips an emitted Rz
-    sign — so the angle extraction *replicates the scalar operation
-    sequence* with exact real-arithmetic kernels instead: the
-    determinant uses CPython's complex-product expansion componentwise,
-    its square root is CPython's ``cmath.sqrt`` algorithm rebuilt from
-    real ``sqrt``/``hypot``/``copysign``, the SU(2) projection is
-    CPython's Smith-algorithm complex division with the branch select
-    vectorized, and ``|z|`` is ``hypot`` in both worlds.  Only the
-    ``atan2``-class calls (theta and the two ``cmath.phase`` values)
-    stay scalar, in tight ``math.atan2`` list comprehensions.
-    Downstream of the angles, the (-pi, pi] wraps, the 0/1/2-SX case
-    masks and the dominant ZXZXZ emission are vectorized with kernels
-    that are bitwise-identical to the scalar ones (``fmod``,
-    elementwise add/abs, comparisons).  Rows that hit a 0- or 1-SX
-    special case (a masked minority) fall back to the scalar
-    :func:`synthesize_1q` wholesale.
-
-    With ``drop_identity``, rows that are the identity up to global
-    phase — the same entrywise ``allclose`` replica the template's
-    merged-run binding applies (``identity_atol``/``identity_rtol``) —
-    return ``None`` instead of an op list, mirroring how
-    ``merge_1q_runs`` drops such runs entirely; the thresholds agree
-    bit for bit because ``|z|`` is ``hypot`` in both worlds.
-    """
-    program = synthesize_1q_program_batch(
-        matrices,
-        atol,
-        drop_identity=drop_identity,
-        identity_atol=identity_atol,
-        identity_rtol=identity_rtol,
-    )
-    expanded: "list[list[NativeOp] | None]" = []
-    for entry in program:
-        if entry is None or type(entry) is list:
-            expanded.append(entry)
-            continue
-        ops: list[NativeOp] = []
-        w_lam, w_mid, w_phi = entry
-        if w_lam == w_lam:  # NaN marks a skipped Rz slot
-            ops.append(("rz", (w_lam,)))
-        ops.append(_SX_OP)
-        if w_mid == w_mid:
-            ops.append(("rz", (w_mid,)))
-        ops.append(_SX_OP)
-        if w_phi == w_phi:
-            ops.append(("rz", (w_phi,)))
-        expanded.append(ops)
-    return expanded
 
 
 def physical_1q_cost(matrix: np.ndarray, atol: float = 1e-9) -> int:

@@ -9,25 +9,22 @@ expansions over and over; only the ``Rz`` angles change.
 
 :class:`ParametricTemplate` runs the *structural* pipeline stages exactly
 once per ``(ansatz, backend, optimization_level)`` and compiles the final
-one-qubit lowering stage into a small "bind program".  Per-sample
-transpilation then reduces to :meth:`ParametricTemplate.bind`: substitute
-the sample's angles into the program and re-synthesize only the one-qubit
-runs that contain a parameter (a handful of 2x2 products and ZYZ
-decompositions).  :meth:`ParametricTemplate.bind_batch_ir` lowers a whole
-``(B, P)`` angle matrix in one vectorized sweep — stacked ``(B, 2, 2)``
-run compositions and a batched packed ZYZ resynthesis
-(:func:`repro.transpile.euler.synthesize_1q_packed_batch`) — into the
-**compact array IR** (:class:`repro.transpile.bound.BoundCircuitBatch`):
-per sample, only packed angle rows and kind bytes, no ``Gate``/
-``Instruction`` objects at all.  :meth:`ParametricTemplate.bind_batch`
-wraps each IR row as a lazy :class:`repro.transpile.bound.BoundCircuit`
-(the batch-encode and serving fast path); simulation and gate counts
-answer straight off the arrays, and materializing on first instruction
-access yields the same instruction streams as ``B`` sequential binds.
-The bound circuit is **instruction-for-instruction identical** to what
-:func:`repro.transpile.transpiler.transpile` would produce for the same
-angles — both bind modes are asserted against a reference transpile
-when the template is built.
+one-qubit lowering stage into a small "bind program".
+:meth:`ParametricTemplate.bind_batch_ir` then lowers a whole ``(B, P)``
+angle matrix in one vectorized sweep — stacked ``(B, 2, 2)`` run
+compositions and a batched packed ZYZ resynthesis
+(:func:`repro.transpile.euler.synthesize_1q_packed_batch`) of only the
+one-qubit runs that contain a parameter — into the **compact array IR**
+(:class:`repro.transpile.bound.BoundCircuitBatch`): per sample, only
+packed angle rows and kind bytes, no ``Gate``/``Instruction`` objects at
+all.  :meth:`ParametricTemplate.bind_batch` wraps each IR row as a lazy
+:class:`repro.transpile.bound.BoundCircuit` (the lowering behind every
+online encode); simulation and gate counts answer straight off the
+arrays, and materializing on first instruction access yields the
+circuit :func:`repro.transpile.transpiler.transpile` would produce for
+the same angles, **instruction for instruction and float bit for float
+bit** — asserted against a reference transpile when the template is
+built.
 
 Why this is exact: the structural passes (:func:`decompose_to_cx`,
 :func:`cancel_adjacent_cx`, :func:`route`, :func:`expand_cx`) never
@@ -38,7 +35,7 @@ angle assignment.  Only ``merge_1q_runs``/``resynthesize_1q`` (and
 the steps the bind program replays.
 
 :class:`TemplateCache` memoizes templates; :func:`transpile_template` is
-the module-level entry point used by the batch encoder.
+the module-level entry point the online pipeline uses.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ import numpy as np
 
 from repro.errors import TranspilerError
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.gates import Gate, _rz_matrix, gate
+from repro.quantum.gates import _rz_matrix, gate
 from repro.quantum.instruction import Instruction
 from repro.quantum.statevector import apply_gate_to_tensor
 from repro.transpile.bound import BoundCircuitBatch
@@ -76,9 +73,10 @@ _ALLCLOSE_RTOL = 1e-5
 def _is_identity_up_to_phase(matrix: np.ndarray) -> bool:
     """Scalar replica of ``np.allclose(m, m[0,0]*I, atol=1e-12)``.
 
-    Same comparison formula (``|a-b| <= atol + rtol*|b|`` entrywise), two
-    orders of magnitude cheaper than the array version — this check runs
-    once per merged run per bind.
+    Same comparison formula (``|a-b| <= atol + rtol*|b|`` entrywise);
+    the bind program applies it to every fully fixed run at build time
+    (the batched bind applies the vectorized replica in
+    :func:`repro.transpile.euler.synthesize_1q_packed_batch`).
     """
     pivot = complex(matrix[0, 0])
     return (
@@ -89,31 +87,15 @@ def _is_identity_up_to_phase(matrix: np.ndarray) -> bool:
     )
 
 
-def _rz_matrix_stack(theta: np.ndarray) -> np.ndarray:
-    """All ``Rz(theta_j)`` matrices as one ``(l, 2, 2)`` array.
-
-    One vectorized ``exp`` replaces ``2l`` scalar exponentials per bind;
-    the entries are bit-identical to the gate library's Rz constructor
-    (same expression, same ufunc kernel — see ``_rz_matrix`` in
-    :mod:`repro.quantum.gates`), so compositions using these views match
-    ``merge_1q_runs`` exactly.
-    """
-    half = 0.5j * theta
-    stack = np.zeros((theta.size, 2, 2), dtype=complex)
-    stack[:, 0, 0] = np.exp(-half)
-    stack[:, 1, 1] = np.exp(half)
-    return stack
-
-
-def _rz_matrix_stack_batch(thetas: np.ndarray) -> np.ndarray:
+def _batched_rz_matrices(thetas: np.ndarray) -> np.ndarray:
     """Rz matrices for a whole ``(B, P)`` angle matrix as ``(P, B, 2, 2)``.
 
     Parameter-major layout so a run group can gather all its rows for
     one parameter as a single leading-axis index.  Entry ``[p, b]`` is
-    bit-identical to ``_rz_matrix_stack(thetas[b])[p]`` — the same
-    ``0.5j *`` / negate / ``exp`` ufunc sequence runs elementwise over
-    the (transposed view of the) larger array — so a batched bind
-    composes exactly the matrices the per-sample binds would.
+    bit-identical to the gate library's Rz constructor for
+    ``thetas[b, p]`` (same expression, same ufunc kernel — see
+    ``_rz_matrix`` in :mod:`repro.quantum.gates`), so compositions using
+    these matrices match ``merge_1q_runs`` exactly.
     """
     half = 0.5j * thetas.T
     stack = np.zeros(half.shape + (2, 2), dtype=complex)
@@ -134,11 +116,6 @@ class _FixedBlock:
 
     def __init__(self) -> None:
         self.instructions: list[Instruction] = []
-
-    def emit(
-        self, theta: np.ndarray, rz_stack: np.ndarray, out: list[Instruction]
-    ) -> None:
-        out.extend(self.instructions)
 
     def emit_ir(self, bound, row: int, out: list[Instruction]) -> None:
         # Every materialized row extends with the *same* instruction
@@ -168,18 +145,18 @@ class _ParametricRun:
     change the association order; near the +-pi branch cut of the Euler
     angles that 1-ulp difference flips an Rz sign.)
 
-    Batched binds do not compose runs one by one: every run belongs to
-    a :class:`_RunGroup` of runs sharing the same fixed/param chain
+    Runs are not composed separately: every run belongs to a
+    :class:`_RunGroup` of runs sharing the same fixed/param chain
     signature, and the group composes all its runs for all ``B`` rows
     at once as stacked ``(G, B, 2, 2)`` matmuls.  numpy's matmul runs
-    one inner 2x2 kernel per stack slice — the identical kernel the 2D
-    products above use — so every row's accumulated matrix is
-    bit-identical to its sequential bind, and the batched ZYZ
+    one inner 2x2 kernel per stack slice — the identical kernel
+    ``merge_1q_runs``' 2D products use — so every row's accumulated
+    matrix is bit-identical to the full pipeline's, and the batched ZYZ
     (:func:`repro.transpile.euler.synthesize_1q_packed_batch`, one
     sweep over all runs of the bind) stays packed inside the bound IR —
-    :meth:`emit_ir` expands a row to exactly the sequential instruction
-    stream on demand, and :meth:`apply_ir` simulates it without any
-    instruction objects.
+    :meth:`emit_ir` expands a row to exactly the full pipeline's
+    instruction stream on demand, and :meth:`apply_ir` simulates it
+    without any instruction objects.
 
     ``index`` is the run's position in the template's
     ``_parametric_runs`` list — the key into the bound IR's per-run
@@ -198,42 +175,29 @@ class _ParametricRun:
         self._sx = Instruction.trusted(_SX_GATE, self.qubit_tuple)
         self._x = Instruction.trusted(_X_GATE, self.qubit_tuple)
 
-    def emit(
-        self, theta: np.ndarray, rz_stack: np.ndarray, out: list[Instruction]
-    ) -> None:
-        matrix = None
-        for element in self.elements:
-            # A parameter index picks its Rz from the precomputed stack.
-            # Every step stays a full 2x2 matmul: shortcutting the
-            # diagonal Rz as a row scaling rounds differently from the
-            # BLAS product merge_1q_runs computes, and near the +-pi
-            # Euler branch cut a 1-ulp difference flips an Rz sign.
-            step = element if isinstance(element, np.ndarray) else rz_stack[element]
-            matrix = step if matrix is None else step @ matrix
-        if _is_identity_up_to_phase(matrix):
-            return
-        self._append_ops(synthesize_1q(matrix), out)
-
     def emit_ir(self, bound, row: int, out: list[Instruction]) -> None:
         """Materialize one bound row from its packed synthesis.
 
         Reads the :class:`repro.transpile.euler.PackedSynthesis` slice
         the bind stored for this run: a dropped row emits nothing, a
         special row replays the scalar-synthesized op list, and the
-        generic ZXZXZ row expands its NaN-marked angle triple — the
-        identical floats (``.tolist()`` of the same array entries) the
-        eager bind emits.
+        generic ZXZXZ row expands its NaN-marked angle triple.
         """
         packed = bound.packed[self.index]
         kind = packed.kinds[row]
         if kind == PACKED_DROPPED:
             return
-        if kind == PACKED_SPECIAL:
-            self._append_ops(packed.specials[row], out)
-            return
-        w_lam, w_mid, w_phi = packed.angles[row].tolist()
         qubit_tuple = self.qubit_tuple
         trusted_rz = Instruction.trusted_rz
+        if kind == PACKED_SPECIAL:
+            for name, params in packed.specials[row]:
+                if name == "rz":
+                    # Lazy matrix: most bound gates are never simulated.
+                    out.append(trusted_rz(params[0], qubit_tuple))
+                else:
+                    out.append(self._sx if name == "sx" else self._x)
+            return
+        w_lam, w_mid, w_phi = packed.angles[row].tolist()
         if w_lam == w_lam:  # NaN marks a skipped Rz slot
             out.append(trusted_rz(w_lam, qubit_tuple))
         out.append(self._sx)
@@ -286,17 +250,6 @@ class _ParametricRun:
             )
         return tensor
 
-    def _append_ops(self, ops, out: list[Instruction]) -> None:
-        qubit_tuple = self.qubit_tuple
-        for name, params in ops:
-            if name == "rz":
-                # Lazy matrix: most bound gates are never simulated.
-                out.append(Instruction.trusted_rz(params[0], qubit_tuple))
-            elif name == "sx":
-                out.append(self._sx)
-            else:
-                out.append(self._x)
-
 
 class _RunGroup:
     """Parametric runs sharing one fixed/param chain signature.
@@ -309,9 +262,9 @@ class _RunGroup:
     positions stack their ``G`` matrices into a broadcastable ``(G, 1,
     2, 2)`` array once, parameter positions keep a ``(G,)`` index into
     the parameter-major Rz stack.  Per row and run the product sequence
-    (operands, association order, matmul kernel) is exactly the one the
-    eager ``emit`` computes, so the composed matrices — and everything
-    the ZYZ synthesis derives from them — stay bit-identical.
+    (operands, association order, matmul kernel) is exactly the one
+    ``merge_1q_runs`` computes, so the composed matrices — and
+    everything the ZYZ synthesis derives from them — stay bit-identical.
     """
 
     __slots__ = ("runs", "steps")
@@ -335,7 +288,10 @@ class _RunGroup:
         """All runs' merged matrices for all rows, as ``(G, B, 2, 2)``.
 
         ``rz_stack`` is the bind's parameter-major ``(P, B, 2, 2)``
-        Rz-matrix stack.
+        Rz-matrix stack.  Every step stays a full 2x2 matmul:
+        shortcutting the diagonal Rz as a row scaling rounds differently
+        from the BLAS product ``merge_1q_runs`` computes, and near the
+        +-pi Euler branch cut a 1-ulp difference flips an Rz sign.
         """
         matrix = None
         for is_fixed, data in self.steps:
@@ -364,13 +320,6 @@ class _ParametricRz:
     def __init__(self, qubit: int, param: int) -> None:
         self.qubit_tuple = (qubit,)
         self.param = param
-
-    def emit(
-        self, theta: np.ndarray, rz_stack: np.ndarray, out: list[Instruction]
-    ) -> None:
-        out.append(
-            Instruction.trusted_rz(float(theta[self.param]), self.qubit_tuple)
-        )
 
     def emit_ir(self, bound, row: int, out: list[Instruction]) -> None:
         out.append(
@@ -405,7 +354,7 @@ class ParametricTemplate:
 
     Building the template costs one structural pipeline run plus one full
     reference transpile (used to verify bind-equality); every subsequent
-    :meth:`bind` costs only the parametric 1q resynthesis.
+    :meth:`bind_batch` costs only the parametric 1q resynthesis.
     """
 
     def __init__(self, ansatz, backend, optimization_level: int = 1) -> None:
@@ -454,7 +403,6 @@ class ParametricTemplate:
         for index, run in enumerate(self._parametric_runs):
             run.index = index
         self._run_groups = _group_parametric_runs(self._parametric_runs)
-        self._needs_rz_stack = bool(self._parametric_runs)
         self._compute_skeleton_stats()
         self._verify_against_reference()
 
@@ -547,28 +495,6 @@ class ParametricTemplate:
 
     # -- binding -------------------------------------------------------------
 
-    def bind(self, theta: np.ndarray) -> TranspileResult:
-        """Instantiate the template for one angle assignment.
-
-        Equivalent to ``transpile(ansatz.circuit(theta), backend,
-        optimization_level)`` but ~2 orders of magnitude cheaper: only the
-        parameter-carrying 1q runs are re-synthesized.
-        """
-        theta = np.asarray(theta, dtype=float).ravel()
-        if theta.size != self.ansatz.num_parameters:
-            raise TranspilerError(
-                f"expected {self.ansatz.num_parameters} parameters, "
-                f"got {theta.size}"
-            )
-        rz_stack = _rz_matrix_stack(theta) if self._needs_rz_stack else None
-        instructions: list[Instruction] = []
-        for step in self._program:
-            step.emit(theta, rz_stack, instructions)
-        self.num_binds += 1
-        return self._wrap_result(
-            QuantumCircuit.trusted(self._num_qubits, self._name, instructions)
-        )
-
     def bind_batch_ir(self, thetas: np.ndarray) -> BoundCircuitBatch:
         """Lower a whole ``(B, P)`` angle matrix into the compact IR.
 
@@ -580,11 +506,11 @@ class ParametricTemplate:
         angles + a kind byte per row).  No ``Gate``/``Instruction``
         objects are constructed.  Materializing any row of the returned
         :class:`repro.transpile.bound.BoundCircuitBatch` yields an
-        instruction stream float-bit identical to :meth:`bind` of that
-        row (every floating-point kernel in the sweep reproduces the
-        per-sample path exactly — see
-        :func:`repro.transpile.euler.synthesize_1q_batch`).
-        :attr:`num_binds` advances by ``B``, as a bind loop would.
+        instruction stream float-bit identical to the full transpile of
+        that row's bound ansatz (every floating-point kernel in the sweep
+        reproduces the scalar pipeline exactly — see
+        :func:`repro.transpile.euler.synthesize_1q_packed_batch`).
+        :attr:`num_binds` advances by ``B``.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if thetas.ndim != 2 or thetas.shape[1] != self.ansatz.num_parameters:
@@ -595,7 +521,7 @@ class ParametricTemplate:
         batch = thetas.shape[0]
         packed: list = []
         if batch and self._parametric_runs:
-            rz_stack = _rz_matrix_stack_batch(thetas)
+            rz_stack = _batched_rz_matrices(thetas)
             # One ZYZ sweep over every (run, row) pair: each signature
             # group composes all its runs as one stacked (G, B, 2, 2)
             # matmul chain, and a single batched synthesis call
@@ -633,9 +559,10 @@ class ParametricTemplate:
         from the packed arrays, and the instruction list materializes on
         first access — at which point it is
         **instruction-for-instruction identical** to
-        ``[self.bind(t) for t in thetas]`` (bit-identical angles
-        included).  This is the bind engine behind ``encode_batch`` and
-        the serving layer's micro-batch flushes.
+        ``transpile(ansatz.circuit(t), backend, optimization_level)``
+        for each row ``t`` (bit-identical angles included).  This is the
+        lowering behind ``encode``, ``encode_batch`` and the serving
+        layer's micro-batch flushes.
         """
         bound = self.bind_batch_ir(thetas)
         return [
@@ -657,9 +584,12 @@ class ParametricTemplate:
     def _verify_against_reference(self) -> None:
         """Assert bind == full transpile on a reference angle assignment.
 
-        Any drift between the bind program and the real pipeline (e.g. a
-        future pass reordering) is caught here, at template construction,
-        rather than silently corrupting every bound circuit.
+        Materializes a one-row :meth:`bind_batch` and compares it with
+        :func:`repro.transpile.transpiler.transpile` instruction for
+        instruction.  Any drift between the bind program and the real
+        pipeline (e.g. a future pass reordering) is caught here, at
+        template construction, rather than silently corrupting every
+        bound circuit.
         """
         num_params = self.ansatz.num_parameters
         theta_ref = np.linspace(0.3, 2.45, num_params)
@@ -668,17 +598,11 @@ class ParametricTemplate:
             self.backend,
             optimization_level=self.optimization_level,
         )
-        bound = self.bind(theta_ref)
-        batched = self.bind_batch(theta_ref[None, :])[0]
+        bound = self.bind_batch(theta_ref[None, :])[0]
         self.num_binds = 0
         if list(bound.circuit) != list(reference.circuit):
             raise TranspilerError(
                 "parametric template deviates from the transpile pipeline "
-                f"for {self.ansatz!r} on {self.backend.name!r}"
-            )
-        if list(batched.circuit) != list(bound.circuit):
-            raise TranspilerError(
-                "batched template bind deviates from the per-sample bind "
                 f"for {self.ansatz!r} on {self.backend.name!r}"
             )
         if bound.num_swaps_inserted != reference.num_swaps_inserted:
@@ -852,8 +776,8 @@ def transpile_template(
     """Cached parametric template for ``(ansatz, backend, optimization_level)``.
 
     The first call per key runs the structural transpile stages once;
-    later calls are dictionary lookups.  This is the entry point
-    :meth:`repro.core.encoder.EnQodeEncoder.encode_batch` uses to amortize
-    transpilation across a batch.
+    later calls are dictionary lookups.  The online pipeline
+    (:class:`repro.core.pipeline.LowerStage`) lowers every encode
+    through this cache.
     """
     return GLOBAL_TEMPLATE_CACHE.get(ansatz, backend, optimization_level)

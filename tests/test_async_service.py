@@ -694,12 +694,9 @@ def test_pipeline_run_reported_isolates_per_flush_stats(fitted, cluster_data):
     assert len(encoded) == 5
     assert report.batch_size == 5
     assert report.template_binds == 5
-    assert report.template_hit in (True, False)  # template mode reports
+    assert report.template_hit in (True, False)
+    assert report.finetune_seconds >= 0.0
     assert pipeline.stats.template_binds == before + 5
-    _, full = pipeline.run_reported(cluster_data[:2], use_template=False)
-    assert full.template_hit is None  # full transpile: no cache involved
-    assert full.template_binds == 0
-    assert full.finetune_seconds >= 0.0
     # Empty batch: a report with nothing in it, no stats movement.
     runs_before = pipeline.stats.runs
     out, empty = pipeline.run_reported(np.empty((0, 16)))

@@ -87,13 +87,18 @@ def test_encode_batch_equivalent_to_sequential(fitted, cluster_data):
 
 
 def test_encode_batch_without_template_matches(fitted, cluster_data):
-    samples = cluster_data[:4]
-    with_template = fitted.encode_batch(samples, use_template=True)
-    without = fitted.encode_batch(samples, use_template=False)
-    for a, b in zip(with_template, without):
-        assert a.cluster_index == b.cluster_index
-        assert abs(a.ideal_fidelity - b.ideal_fidelity) < 1e-12
-        assert list(a.circuit) == list(b.circuit)
+    """Each template-bound circuit == the full transpile of its theta."""
+    for sample in fitted.encode_batch(cluster_data[:4]):
+        reference = transpile(
+            fitted.ansatz.circuit(sample.theta),
+            fitted.backend,
+            optimization_level=fitted.config.optimization_level,
+        )
+        assert list(sample.circuit) == list(reference.circuit)
+        assert (
+            sample.transpiled.num_swaps_inserted
+            == reference.num_swaps_inserted
+        )
 
 
 def test_encode_batch_requires_fit(segment4):
@@ -184,7 +189,7 @@ def test_template_bind_matches_full_transpile(segment4, level):
         reference = transpile(
             ansatz.circuit(theta), segment4, optimization_level=level
         )
-        bound = template.bind(theta)
+        bound = template.bind_batch(theta[None, :])[0]
         assert list(bound.circuit) == list(reference.circuit)
         assert (
             bound.circuit.count_ops(physical_only=True)
@@ -196,7 +201,7 @@ def test_template_bind_matches_full_transpile(segment4, level):
 def test_template_bind_validates_theta(segment4):
     template = transpile_template(EnQodeAnsatz(4, 4), segment4, 1)
     with pytest.raises(TranspilerError):
-        template.bind(np.zeros(5))
+        template.bind_batch(np.zeros((1, 5)))
 
 
 def test_template_bound_circuit_simulates(segment4):
@@ -204,7 +209,7 @@ def test_template_bound_circuit_simulates(segment4):
     ansatz = EnQodeAnsatz(4, 6)
     template = ParametricTemplate(ansatz, segment4, 1)
     theta = np.random.default_rng(9).uniform(-np.pi, np.pi, ansatz.num_parameters)
-    bound = template.bind(theta)
+    bound = template.bind_batch(theta[None, :])[0]
     symbolic = SymbolicState.from_ansatz(ansatz)
     ideal = symbolic.embedded_amplitudes(theta, ansatz)
     psi = simulate_statevector(bound.circuit)

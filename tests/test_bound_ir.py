@@ -3,11 +3,12 @@
 ``ParametricTemplate.bind_batch_ir`` packs a whole bind into shared
 arrays (:class:`repro.transpile.bound.BoundCircuitBatch`); every consumer
 then has two routes to the same answer — walk the arrays directly, or
-materialize the eager instruction stream.  The contract is strict on
-both: ``BoundCircuit.materialize()`` must equal the eager per-sample
-``bind`` output **float-bit** (same gate names, qubit tuples, and the
-same floating-point bits in every Rz angle), and the IR statevector fast
-path must equal simulating the materialized circuit **exactly**
+materialize the instruction stream.  The contract is strict on both:
+``BoundCircuit.materialize()`` must equal the full per-sample
+``transpile`` of the bound ansatz **float-bit** (same gate names, qubit
+tuples, and the same floating-point bits in every Rz angle), and the IR
+statevector fast path must equal simulating the materialized circuit
+**exactly**
 (``np.array_equal``, no tolerance).  The sweeps reuse the branch-cut
 angle batches of ``test_template_batch`` so one-ulp numeric drift near
 the ±pi Euler cut cannot hide.
@@ -28,7 +29,7 @@ from repro.quantum import (
 from repro.transpile import BoundCircuit, BoundCircuitBatch
 from repro.transpile.template import ParametricTemplate
 
-from tests.test_template_batch import branch_cut_thetas
+from tests.test_template_batch import branch_cut_thetas, transpile_loop
 
 
 def assert_instructions_identical(actual, expected):
@@ -45,7 +46,7 @@ def assert_instructions_identical(actual, expected):
 @pytest.mark.parametrize("num_qubits,num_layers", [(3, 3), (4, 4), (5, 3)])
 @pytest.mark.parametrize("level", [0, 1])
 def test_materialize_matches_eager_bind(num_qubits, num_layers, level, rng):
-    """Seeded sweep: every IR row materializes to the eager bind stream."""
+    """Seeded sweep: every IR row materializes to its full transpile."""
     ansatz = EnQodeAnsatz(num_qubits, num_layers)
     backend = brisbane_linear_segment(num_qubits)
     template = ParametricTemplate(ansatz, backend, level)
@@ -53,11 +54,10 @@ def test_materialize_matches_eager_bind(num_qubits, num_layers, level, rng):
     bound = template.bind_batch_ir(thetas)
     assert isinstance(bound, BoundCircuitBatch)
     assert bound.batch_size == thetas.shape[0]
-    for row, theta in enumerate(thetas):
-        eager = template.bind(theta).circuit
+    for row, reference in enumerate(transpile_loop(template, thetas)):
         materialized = bound.circuit(row).materialize()
         assert type(materialized) is QuantumCircuit
-        assert_instructions_identical(materialized, eager)
+        assert_instructions_identical(materialized, reference.circuit)
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 7, 16])
@@ -66,9 +66,9 @@ def test_batch_size_sweep(segment4, rng, batch_size):
     template = ParametricTemplate(ansatz, segment4, 1)
     thetas = branch_cut_thetas(ansatz.num_parameters, rng)[:batch_size]
     bound = template.bind_batch_ir(thetas)
-    for row, theta in enumerate(thetas):
+    for row, reference in enumerate(transpile_loop(template, thetas)):
         assert_instructions_identical(
-            bound.circuit(row).materialize(), template.bind(theta).circuit
+            bound.circuit(row).materialize(), reference.circuit
         )
 
 

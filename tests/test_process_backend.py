@@ -101,11 +101,6 @@ def _assert_bit_identical_replay(service, tickets):
 # -- config + sharding (no fleet spawned) ----------------------------------------------
 
 
-def test_process_backend_requires_template_path():
-    with pytest.raises(ServiceError, match="use_template"):
-        ServiceConfig(backend="process", use_template=False)
-
-
 def test_process_config_knobs_validate():
     config = ServiceConfig(
         backend="process",
@@ -184,9 +179,7 @@ def test_encoded_batch_wire_roundtrip(fitted_pair, cluster_data):
     bit-exactly."""
     encoder = fitted_pair[0]
     samples = cluster_data[:5]
-    encoded, report = encoder.pipeline.run_reported(
-        samples, use_template=True
-    )
+    encoded, report = encoder.pipeline.run_reported(samples)
     blob = dump_encoded_batch(encoded, report)
     template = encoder.pipeline.lower.template()
     targets = encoder.pipeline.prepare(samples)

@@ -20,6 +20,7 @@ from repro.core import (
 from repro.errors import OptimizationError
 from repro.hardware import brisbane_linear_segment
 from repro.service import EncodingService
+from repro.transpile import transpile
 from repro.quantum import (
     DensityMatrix,
     QuantumCircuit,
@@ -318,18 +319,21 @@ def test_batch_size_one_matches_encode(online_encoders, seed, variant):
 def test_template_and_full_lowering_agree(
     online_encoders, seed, variant, batch_size
 ):
-    """Template-mode lowering == full per-sample transpile, gate for gate."""
+    """Template lowering == full per-sample transpile, gate for gate."""
     encoder, data = online_encoders[variant]
     rows = _draw_rows(data, np.random.default_rng(seed), batch_size)
-    fast = encoder.encode_batch(rows, use_template=True)
-    full = encoder.encode_batch(rows, use_template=False)
-    for a, b in zip(fast, full):
-        assert np.array_equal(a.theta, b.theta)
-        assert list(a.circuit) == list(b.circuit)
+    for sample in encoder.encode_batch(rows):
+        full = transpile(
+            encoder.ansatz.circuit(sample.theta),
+            encoder.backend,
+            optimization_level=encoder.config.optimization_level,
+        )
+        assert list(sample.circuit) == list(full.circuit)
 
 
 def test_zero_norm_row_rejected(online_encoders):
-    """Below the normalization floor the pipeline refuses, batched or not."""
+    """Below the normalization floor the pipeline refuses, batched or not;
+    so does every other malformed row, at every online entry point."""
     encoder, data = online_encoders[(4, 1)]
     rows = data[:3].copy()
     rows[1] = 0.0
@@ -337,3 +341,37 @@ def test_zero_norm_row_rejected(online_encoders):
         encoder.encode_batch(rows)
     with pytest.raises(OptimizationError):
         encoder.encode_batch(data[:2] * 1e-13)  # under the 1e-12 floor
+    good = data[0]
+    hostile = {
+        "nan": np.full(16, np.nan),
+        "nan entry": np.where(np.arange(16) == 3, np.nan, good),
+        "+inf": np.where(np.arange(16) == 0, np.inf, good),
+        "-inf": np.where(np.arange(16) == 5, -np.inf, good),
+        "string": np.array(["x"] * 16),
+        "imaginary": good + 1j * good,
+        "zero": np.zeros(16),
+        "wrong width": np.ones(8),
+    }
+    pipeline = encoder.pipeline
+    entry_points = {
+        "encode": encoder.encode,
+        "encode_batch B=1": lambda row: encoder.encode_batch(
+            np.atleast_2d(row)
+        ),
+        "encode_batch B=2": lambda row: encoder.encode_batch(
+            [good, row] if row.size == good.size else [row, row]
+        ),
+        "run_reported": lambda row: pipeline.run_reported(row[None, :]),
+        "run_degraded_reported": lambda row: pipeline.run_degraded_reported(
+            row[None, :]
+        ),
+        "project": encoder.project,
+    }
+    for name, row in hostile.items():
+        for entry, call in entry_points.items():
+            with pytest.raises(OptimizationError):
+                call(row)
+                pytest.fail(f"{entry} accepted a {name} row")
+    # A complex row whose imaginary parts are all zero is just real.
+    as_complex = encoder.encode(good.astype(complex))
+    assert as_complex.ideal_fidelity == encoder.encode(good).ideal_fidelity

@@ -198,7 +198,7 @@ def test_degrade_policy_sheds_inline(fitted, cluster_data):
 def test_degraded_response_is_finetune_skipped_centroid(
     fitted, cluster_data
 ):
-    """The shed path == run_degraded == the routed cluster's centroid."""
+    """The shed path == run_degraded_reported == the routed centroid."""
     service = EncodingService(
         max_batch=100, max_pending_per_key=1, overload_policy="degrade"
     )
@@ -208,7 +208,9 @@ def test_degraded_response_is_finetune_skipped_centroid(
     shed = service.submit(sample, key="a")
     response = shed.result()
 
-    reference = fitted.pipeline.run_degraded(sample[np.newaxis, :])[0]
+    reference = fitted.pipeline.run_degraded_reported(
+        sample[np.newaxis, :]
+    )[0][0]
     assert np.array_equal(response.encoded.theta, reference.theta)
     assert response.encoded.ideal_fidelity == reference.ideal_fidelity
     assert list(response.circuit) == list(reference.circuit)

@@ -19,6 +19,7 @@ from repro.service import (
     EncodingService,
     MicroBatcher,
 )
+from repro.transpile import transpile
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +260,20 @@ def test_submit_validation(fitted):
         service.submit(np.ones(8))  # wrong width, unkeyed (routes first)
     with pytest.raises(ServiceError):
         service.submit(np.ones(16), key="missing")  # unknown key
+    good = np.ones(16)
+    for row in (
+        np.where(np.arange(16) == 2, np.inf, good),
+        np.where(np.arange(16) == 2, -np.inf, good),
+        np.array(["1.0"] * 16),  # numeric strings are still strings
+        np.array(["x"] * 16),
+        good + 0.5j,  # nonzero imaginary part
+        [[1.0, 2.0], [3.0]],  # ragged
+    ):
+        with pytest.raises(ServiceError):
+            service.submit(row, key=0)
+        with pytest.raises(ServiceError):
+            service.submit(row)  # unkeyed: validated before routing
+    assert service.stats().requests_submitted == 0
 
 
 def test_failed_flush_fails_tickets_loudly(fitted, cluster_data):
@@ -327,13 +342,6 @@ def test_template_binds_counted_per_row(fitted, cluster_data):
     assert template.num_binds - binds_before == 8
     assert pipeline.stats.template_binds - stats_before == 8
     assert service.stats().template_binds == 8
-    # A full-transpile service never touches the template counters.
-    full = EncodingService(max_batch=4, use_template=False)
-    full.register(0, fitted)
-    for x in cluster_data[:4]:
-        full.submit(x, key=0)
-    assert full.stats().template_binds == 0
-    assert template.num_binds - binds_before == 8
 
 
 # -- the stage pipeline ----------------------------------------------------------------
@@ -385,12 +393,18 @@ def test_route_stage_matches_scalar_assignment(fitted, cluster_data):
 
 
 def test_bind_and_lower_stages_compose(fitted, cluster_data):
-    """bind → lower (full) equals the template-bound lowering."""
+    """Template fetch → bind_batch equals the full transpile of the
+    bound ansatz, and is what the pipeline served."""
     pipeline = fitted.pipeline
     encoded = fitted.encode_batch(cluster_data[:1])[0]
-    logical = pipeline.bind.run(encoded.theta)
-    lowered = pipeline.lower.run(logical)
-    template_bound = pipeline.lower.template().bind(encoded.theta)
+    lowered = transpile(
+        encoded.logical_circuit,
+        fitted.backend,
+        optimization_level=pipeline.lower.optimization_level,
+    )
+    template_bound = pipeline.lower.template().bind_batch(
+        encoded.theta[None, :]
+    )[0]
     assert list(lowered.circuit) == list(template_bound.circuit)
     assert list(encoded.circuit) == list(lowered.circuit)
 

@@ -2,12 +2,14 @@
 and the batched ZYZ resynthesis behind it.
 
 The contract under test is strict: a batched bind must be
-**instruction-for-instruction identical** to a Python loop of per-sample
-``bind`` calls — same gate names, same qubit tuples, and the *same
-floating-point bits* in every Rz angle.  The sweeps deliberately include
-angles within 1e-9 of the ±pi Euler branch cut, where a one-ulp
-difference between the scalar and vectorized numerics would flip an
-emitted Rz sign or a 0/1/2-SX case decision.
+**instruction-for-instruction identical** to a Python loop of full
+per-sample transpiles (``transpile(ansatz.circuit(theta), backend,
+level)``) — same gate names, same qubit tuples, and the *same
+floating-point bits* in every Rz angle — and the batched synthesis must
+reproduce the scalar ``synthesize_1q`` row for row.  The sweeps
+deliberately include angles within 1e-9 of the ±pi Euler branch cut,
+where a one-ulp difference between the scalar and vectorized numerics
+would flip an emitted Rz sign or a 0/1/2-SX case decision.
 """
 
 from __future__ import annotations
@@ -21,11 +23,25 @@ from repro.core.ansatz import EnQodeAnsatz
 from repro.errors import TranspilerError
 from repro.quantum import gate, random_unitary
 from repro.transpile.euler import (
+    PACKED_DROPPED,
+    PACKED_SPECIAL,
     synthesize_1q,
-    synthesize_1q_batch,
-    synthesize_1q_program_batch,
+    synthesize_1q_packed_batch,
 )
 from repro.transpile.template import ParametricTemplate, transpile_template
+from repro.transpile.transpiler import transpile
+
+
+def transpile_loop(template, thetas):
+    """The reference: one full transpile per angle row."""
+    return [
+        transpile(
+            template.ansatz.circuit(theta),
+            template.backend,
+            optimization_level=template.optimization_level,
+        )
+        for theta in thetas
+    ]
 
 
 def assert_identical_results(sequential, batched):
@@ -81,10 +97,11 @@ def branch_cut_thetas(num_parameters: int, rng: np.random.Generator):
 
 @pytest.mark.parametrize("level", [0, 1])
 def test_bind_batch_identical_to_bind_loop(segment4, rng, level):
+    """One batched bind == a loop of per-sample full transpiles."""
     ansatz = EnQodeAnsatz(4, 4)
     template = ParametricTemplate(ansatz, segment4, level)
     thetas = branch_cut_thetas(ansatz.num_parameters, rng)
-    sequential = [template.bind(theta) for theta in thetas]
+    sequential = transpile_loop(template, thetas)
     batched = template.bind_batch(thetas)
     assert_identical_results(sequential, batched)
 
@@ -97,29 +114,30 @@ def test_bind_batch_property_sweep(segment4, level):
     for seed in range(10):
         sweep_rng = np.random.default_rng(seed)
         thetas = branch_cut_thetas(ansatz.num_parameters, sweep_rng)
-        sequential = [template.bind(theta) for theta in thetas]
+        sequential = transpile_loop(template, thetas)
         batched = template.bind_batch(thetas)
         assert_identical_results(sequential, batched)
 
 
 def test_bind_batch_single_row_matches_bind(segment4, rng):
+    """A one-row bind (the ``encode`` lowering) == its full transpile."""
     ansatz = EnQodeAnsatz(4, 4)
     template = transpile_template(ansatz, segment4, 1)
     theta = rng.uniform(-np.pi, np.pi, ansatz.num_parameters)
     assert_identical_results(
-        [template.bind(theta)], template.bind_batch(theta[None, :])
+        transpile_loop(template, [theta]), template.bind_batch(theta[None, :])
     )
 
 
 def test_bind_batch_counts_each_row(segment4, rng):
-    """num_binds advances by B per bind_batch — today's per-row semantics."""
+    """num_binds advances by B per bind_batch — per-row semantics."""
     ansatz = EnQodeAnsatz(4, 4)
     template = ParametricTemplate(ansatz, segment4, 1)
     assert template.num_binds == 0  # the build-time verification resets it
     thetas = rng.uniform(-np.pi, np.pi, (5, ansatz.num_parameters))
     template.bind_batch(thetas)
     assert template.num_binds == 5
-    template.bind(thetas[0])
+    template.bind_batch(thetas[:1])
     assert template.num_binds == 6
     template.bind_batch(thetas[:2])
     assert template.num_binds == 8
@@ -177,16 +195,42 @@ def _unitary_zoo(rng: np.random.Generator) -> list[np.ndarray]:
     return mats
 
 
+def expand_packed(packed) -> list:
+    """Each packed row as the op list it stands for (``None`` if dropped)."""
+    rows = []
+    for row in range(len(packed)):
+        kind = packed.kinds[row]
+        if kind == PACKED_DROPPED:
+            rows.append(None)
+        elif kind == PACKED_SPECIAL:
+            rows.append(packed.specials[row])
+        else:
+            ops = []
+            w_lam, w_mid, w_phi = packed.angles[row].tolist()
+            if w_lam == w_lam:  # NaN marks a skipped Rz slot
+                ops.append(("rz", (w_lam,)))
+            ops.append(("sx", ()))
+            if w_mid == w_mid:
+                ops.append(("rz", (w_mid,)))
+            ops.append(("sx", ()))
+            if w_phi == w_phi:
+                ops.append(("rz", (w_phi,)))
+            rows.append(ops)
+    return rows
+
+
 def test_synthesize_1q_batch_matches_scalar(rng):
     mats = _unitary_zoo(rng)
-    batch = synthesize_1q_batch(np.stack(mats))
+    batch = expand_packed(synthesize_1q_packed_batch(np.stack(mats)))
     for ops, matrix in zip(batch, mats):
         assert ops == synthesize_1q(matrix)  # exact, float bits included
 
 
 def test_synthesize_1q_batch_drop_identity(rng):
     mats = _unitary_zoo(rng)
-    batch = synthesize_1q_batch(np.stack(mats), drop_identity=True)
+    batch = expand_packed(
+        synthesize_1q_packed_batch(np.stack(mats), drop_identity=True)
+    )
     for ops, matrix in zip(batch, mats):
         pivot = matrix[0, 0]
         is_identity = (
@@ -200,31 +244,9 @@ def test_synthesize_1q_batch_drop_identity(rng):
             assert ops == synthesize_1q(matrix)
 
 
-def test_synthesize_1q_program_batch_encoding(rng):
-    """The compact encoding expands to exactly the op-list form."""
-    mats = _unitary_zoo(rng)
-    program = synthesize_1q_program_batch(np.stack(mats))
-    for entry, matrix in zip(program, mats):
-        ops = synthesize_1q(matrix)
-        if type(entry) is tuple:
-            expanded = []
-            w_lam, w_mid, w_phi = entry
-            if w_lam == w_lam:
-                expanded.append(("rz", (w_lam,)))
-            expanded.append(("sx", ()))
-            if w_mid == w_mid:
-                expanded.append(("rz", (w_mid,)))
-            expanded.append(("sx", ()))
-            if w_phi == w_phi:
-                expanded.append(("rz", (w_phi,)))
-            assert expanded == ops
-        else:
-            assert entry == ops
-
-
 def test_synthesize_1q_batch_rejects_bad_input():
     with pytest.raises(TranspilerError):
-        synthesize_1q_batch(np.zeros((3, 3)))
+        synthesize_1q_packed_batch(np.zeros((3, 3)))
     with pytest.raises(TranspilerError):
-        synthesize_1q_batch(np.zeros((2, 2, 2)))  # singular rows
-    assert synthesize_1q_batch(np.zeros((0, 2, 2))) == []
+        synthesize_1q_packed_batch(np.zeros((2, 2, 2)))  # singular rows
+    assert len(synthesize_1q_packed_batch(np.zeros((0, 2, 2)))) == 0
