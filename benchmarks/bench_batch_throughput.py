@@ -11,8 +11,8 @@ on top of the end-to-end comparison this bench records:
 
 * a **per-stage timing breakdown** (route / finetune / bind / lower,
   plus the deferred ``materialize`` cost of expanding every compact-IR
-  circuit to instructions) of the batched path, read off
-  ``EncodePipeline.stats``, so the current bottleneck is named in the
+  circuit to instructions) of the batched path, summed from the runs'
+  ``PipelineRunReport``s, so the current bottleneck is named in the
   artifact;
 * the **bind-stage micro-benchmark**: a loop of one-row
   ``bind_batch_ir`` calls vs one ``bind_batch`` over the same angles,
@@ -416,27 +416,26 @@ def run_scenario(
 
 
 def _stage_breakdown(encoder, batched, repetitions: int = 3) -> dict:
-    """Clean template-mode runs' stage split (fresh counters, averaged).
+    """Clean template-mode runs' stage split (run reports summed, averaged).
 
-    ``materialize_seconds`` is the *deferred* cost the compact IR moves
-    out of the bind stage: expanding every lazy circuit of one batch to
-    its eager instruction stream.  It is reported alongside the pipeline
-    stages (it is not part of ``encode_batch`` wall time — only
-    consumers that iterate instructions ever pay it).
+    Each ``encode_batch`` is one ``run_reported`` call, so the split sums
+    the reports of ``repetitions`` such runs.  ``materialize_seconds``
+    is the *deferred* cost the compact IR moves out of the bind stage:
+    expanding every lazy circuit of one batch to its eager instruction
+    stream.  It is reported alongside the pipeline stages (it is not
+    part of ``encode_batch`` wall time — only consumers that iterate
+    instructions ever pay it).
     """
-    pipeline = encoder.pipeline
-    stats_cls = type(pipeline.stats)
-    pipeline.stats = stats_cls()
     samples = np.asarray([s.target for s in batched])
-    for _ in range(repetitions):
-        results = encoder.encode_batch(samples)
-    stats = pipeline.stats
-    total = (
-        stats.route_seconds
-        + stats.finetune_seconds
-        + stats.bind_seconds
-        + stats.lower_seconds
+    stages = dict.fromkeys(
+        ("route_seconds", "finetune_seconds", "bind_seconds", "lower_seconds"),
+        0.0,
     )
+    for _ in range(repetitions):
+        results, report = encoder.pipeline.run_reported(samples)
+        for name in stages:
+            stages[name] += getattr(report, name)
+    total = sum(stages.values())
     materialize_times = []
     for _ in range(repetitions):
         start = time.perf_counter()
@@ -444,12 +443,11 @@ def _stage_breakdown(encoder, batched, repetitions: int = 3) -> dict:
             encoded.circuit.materialize()
         materialize_times.append(time.perf_counter() - start)
     return {
-        "route_seconds": stats.route_seconds / repetitions,
-        "finetune_seconds": stats.finetune_seconds / repetitions,
-        "bind_seconds": stats.bind_seconds / repetitions,
-        "lower_seconds": stats.lower_seconds / repetitions,
+        **{name: seconds / repetitions for name, seconds in stages.items()},
         "materialize_seconds": float(np.median(materialize_times)),
-        "bind_fraction": stats.bind_seconds / total if total else float("nan"),
+        "bind_fraction": (
+            stages["bind_seconds"] / total if total else float("nan")
+        ),
     }
 
 

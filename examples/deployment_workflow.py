@@ -321,7 +321,6 @@ def process_service(backend, dataset, model_dir: pathlib.Path) -> None:
             for _ in range(4)
         ]
         service.drain(timeout=120.0)
-        impl = service._backend_impl
         print(
             f"  served {len(tickets)} requests across "
             f"{len(labels)} keys; worker death: SIGKILL delivered "
@@ -332,9 +331,12 @@ def process_service(backend, dataset, model_dir: pathlib.Path) -> None:
         # process spawns in the background — wait for it so the fleet
         # is whole again before shutdown.
         deadline = time.monotonic() + 60.0
-        while impl.process_respawns < 1 and time.monotonic() < deadline:
+        while (
+            service.stats().process_respawns < 1
+            and time.monotonic() < deadline
+        ):
             time.sleep(0.1)
-        respawns = impl.process_respawns
+        respawns = service.stats().process_respawns
     done = sum(ticket.done for ticket in tickets)
     print(
         f"  recovery: {done}/{len(tickets)} completed, "

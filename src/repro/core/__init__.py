@@ -30,7 +30,6 @@ from repro.core.pipeline import (
     EncodePipeline,
     FinetuneStage,
     LowerStage,
-    PipelineStats,
     PreprocessStage,
     RoutePlan,
     RouteStage,
@@ -55,7 +54,6 @@ __all__ = [
     "EncodePipeline",
     "FinetuneStage",
     "LowerStage",
-    "PipelineStats",
     "PreprocessStage",
     "RoutePlan",
     "RouteStage",

@@ -28,9 +28,7 @@ a multi-row run uses the batched one.
 
 from __future__ import annotations
 
-import threading
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,8 +153,9 @@ class FinetuneStage:
     """Transfer-learned L-BFGS fine-tune from the routed warm starts.
 
     One row runs the sequential scipy optimizer (the engine ``encode``
-    has always used); two or more rows run the stacked batched drive
-    (the ``encode_batch`` engine) — see
+    has always used); two or more rows run the batched drive that
+    ``EnQodeConfig.online_batch_engine`` selects (the per-row drive by
+    default, the stacked drive on request) — see
     :meth:`repro.core.transfer.TransferLearner.finetune`.
     """
 
@@ -206,45 +205,22 @@ class LowerStage:
 
 
 @dataclass
-class PipelineStats:
-    """Aggregate stage counters for one :class:`EncodePipeline`.
-
-    The four timing buckets mirror the stage split: ``route_seconds``
-    (nearest-cluster assignment), ``finetune_seconds`` (the L-BFGS
-    drive), ``bind_seconds`` (the batched template bind of the angles),
-    and ``lower_seconds`` (the template fetch, which builds the template
-    on a cache miss).  ``template_binds`` counts every *row*
-    lowered through a cached template (a ``bind_batch`` of ``B``
-    samples counts ``B``), feeding the serving layer's bind
-    accounting.  ``batch_sizes`` keeps only the most recent runs
-    (bounded) so a long-lived serving pipeline does not grow memory
-    with traffic; the totals are exact running aggregates.
-    """
-
-    runs: int = 0
-    samples: int = 0
-    route_seconds: float = 0.0
-    finetune_seconds: float = 0.0
-    bind_seconds: float = 0.0
-    lower_seconds: float = 0.0
-    template_binds: int = 0
-    batch_sizes: "deque[int]" = field(
-        default_factory=lambda: deque(maxlen=1024)
-    )
-
-
-@dataclass
 class PipelineRunReport:
-    """Per-run stage accounting for one :meth:`EncodePipeline.run_reported`.
+    """Stage accounting for one :meth:`EncodePipeline.run_reported` run.
 
-    Each run accumulates its own report and applies it to the shared
-    :class:`PipelineStats` in a single locked step when it completes, so
-    concurrent runs (service worker-pool flushes sharing one pipeline)
-    never interleave half-applied counters, and callers can read *this
-    run's* contribution directly instead of diffing the shared totals
-    (which races when flushes overlap).  ``template_hit`` says whether
-    the template fetch hit the process-wide cache (``None`` for an
-    empty run, which fetches nothing).
+    The report is the pipeline's only accounting: each run returns its
+    own, so overlapping runs (service worker-pool flushes sharing one
+    pipeline) never share a counter, and a caller that wants totals
+    sums the reports it received (the service's ledger does).  The
+    timing buckets follow the stage split: ``route_seconds``
+    (nearest-cluster assignment), ``finetune_seconds`` (the L-BFGS
+    drive), ``lower_seconds`` (the template fetch, which builds the
+    template on a cache miss) and ``bind_seconds`` (the batched
+    template bind of the angles).  ``template_binds`` counts the rows
+    bound through the template, and ``template_hit`` says whether the
+    fetch hit the process-wide cache (``None`` for an empty run, which
+    fetches nothing).  The process backend ships these fields in its
+    wire response, so they keep their layout.
     """
 
     batch_size: int = 0
@@ -294,14 +270,6 @@ class EncodePipeline:
         #: exceptions and latency deterministically.  ``None`` costs
         #: one attribute check per stage.
         self.fault_injector = None
-        self.stats = PipelineStats()
-        # Guards stats application only.  The stages themselves are
-        # re-entrant — every run builds its own objective/optimizer/plan
-        # objects and the template cache has its own lock — so the
-        # service's thread backend may run flushes for different keys
-        # through one pipeline concurrently without corrupting results;
-        # this lock just keeps the shared counters whole-flush-atomic.
-        self._stats_lock = threading.Lock()
 
     @property
     def transfer(self) -> TransferLearner:
@@ -353,9 +321,10 @@ class EncodePipeline:
         sums back to the run's wall time.
 
         The returned :class:`PipelineRunReport` is this run's own stage
-        accounting; the shared :attr:`stats` totals absorb it in one
-        locked step at the end, so overlapping runs from the service's
-        worker pool stay whole-flush-atomic.
+        accounting.  The stages are re-entrant (every run builds its own
+        objective, optimizer and plan, and the template cache has its own
+        lock), so the service's worker pool may run flushes through one
+        pipeline concurrently.
         """
         samples = self.prepare(samples)
         report = PipelineRunReport(batch_size=samples.shape[0])
@@ -436,7 +405,7 @@ class EncodePipeline:
         fire_faults: bool,
     ) -> "tuple[list[EncodedSample], PipelineRunReport]":
         """The shared lowering tail: template fetch, one ``bind_batch``,
-        the :class:`EncodedSample` list and the applied report.
+        the :class:`EncodedSample` list and the run's report.
 
         ``thetas`` holds one angle row per sample; ``results`` carries
         the fine-tune's per-row optimizer counts (``None`` when the
@@ -478,7 +447,6 @@ class EncodePipeline:
             )
             for row, (iterations, evaluations) in enumerate(counts)
         ]
-        self._apply_report(report, len(encoded))
         return encoded, report
 
     def _fire_fault(self, site: str) -> None:
@@ -486,23 +454,10 @@ class EncodePipeline:
         if injector is not None:
             injector.fire(site)
 
-    def _apply_report(self, report: PipelineRunReport, count: int) -> None:
-        with self._stats_lock:
-            self.stats.runs += 1
-            self.stats.samples += count
-            self.stats.route_seconds += report.route_seconds
-            self.stats.finetune_seconds += report.finetune_seconds
-            self.stats.bind_seconds += report.bind_seconds
-            self.stats.lower_seconds += report.lower_seconds
-            self.stats.template_binds += report.template_binds
-            self.stats.batch_sizes.append(count)
-        return None
-
     def __repr__(self) -> str:
         return (
             f"EncodePipeline({self.ansatz!r}, {self.backend.name!r}, "
-            f"level={self.lower.optimization_level}, "
-            f"runs={self.stats.runs})"
+            f"level={self.lower.optimization_level})"
         )
 
 
@@ -512,7 +467,6 @@ __all__ = [
     "FinetuneStage",
     "LowerStage",
     "PipelineRunReport",
-    "PipelineStats",
     "PreprocessStage",
     "RoutePlan",
     "RouteStage",

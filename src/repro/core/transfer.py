@@ -9,13 +9,15 @@ property Fig. 9(a) measures.
 Three entry points: :meth:`TransferLearner.embed` fine-tunes one sample,
 :meth:`TransferLearner.embed_batch` fine-tunes a whole sample matrix
 concurrently — vectorized nearest-center matching, one
-:class:`~repro.core.batch.BatchFidelityObjective`, and a single stacked
+:class:`~repro.core.batch.BatchFidelityObjective`, and one batched
 L-BFGS drive (see :mod:`repro.core.batch`) that returns the same
 fidelities as the per-sample loop at a fraction of the cost — and
 :meth:`TransferLearner.finetune` is the shared engine behind both: it
 takes precomputed cluster assignments (the pipeline's *route* stage
 output, see :mod:`repro.core.pipeline`) and dispatches one row to the
-sequential optimizer and several rows to the stacked drive.
+sequential optimizer and several rows to the batched drive that
+``batch_engine`` selects (``EnQodeConfig.online_batch_engine``: the
+per-row drive by default, or the stacked drive).
 """
 
 from __future__ import annotations
@@ -97,12 +99,12 @@ class TransferLearner:
         """Warm-start and fine-tune a ``(B, 2^n)`` sample matrix at once.
 
         Matches every row to its nearest cluster in one vectorized pass,
-        then drives all fine-tunes concurrently through the stacked
-        batched optimizer.  Returns one :class:`TransferOutcome` per row,
-        in input order.  Each outcome's ``num_iterations`` is the
-        per-sample attribution (stacked steps + that sample's polish
-        steps — comparable to a sequential run); evaluation counts and
-        wall time are batch totals divided evenly.
+        then drives all fine-tunes concurrently through the batched
+        drive ``batch_engine`` selects.  Returns one
+        :class:`TransferOutcome` per row, in input order.  Each outcome's
+        ``num_iterations`` is the per-sample attribution (batch steps +
+        that sample's polish steps — comparable to a sequential run);
+        evaluation counts and wall time are batch totals divided evenly.
         """
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         if samples.shape[0] == 0:

@@ -120,8 +120,9 @@ class ThreadBackend:
         #: executing worker consumes its id on completion and discards
         #: the result.
         self._abandoned: "set[int]" = set()
-        #: Replacement worker threads spawned after injected deaths.
-        self._respawns = 0
+        #: Replacement worker threads spawned after worker deaths
+        #: (``ServiceStats.worker_respawns``).
+        self.worker_respawns = 0
         self._forced: set = set()
         #: While > 0 a drain() is waiting for quiescence, and the
         #: flusher dispatches every pending key unconditionally — also
@@ -170,7 +171,7 @@ class ThreadBackend:
             self._inflight_pipelines.clear()
             self._running.clear()
             self._abandoned.clear()
-            self._respawns = 0
+            self.worker_respawns = 0
             self._forced.clear()
             self.flusher_wakeups = 0
             self._threads = [
@@ -386,8 +387,8 @@ class ThreadBackend:
         """Cut loose every flush executing past ``flush_timeout``.
 
         The worker thread itself cannot be interrupted mid-pipeline, so
-        abandonment is bookkeeping-only: fail the flush's still-pending
-        tickets with :class:`~repro.errors.DeadlineExceededError`,
+        abandonment is bookkeeping-only: fail the flush's unresolved
+        requests with :class:`~repro.errors.DeadlineExceededError`,
         release the key/pipeline marks (task-id-guarded) so follow-up
         traffic stops head-of-line-blocking, and mark the task id so the
         zombie worker discards its eventual result.  Caller holds the
@@ -408,19 +409,15 @@ class ThreadBackend:
                 del self._inflight_keys[key]
             if self._inflight_pipelines.get(pipeline_id) == task_id:
                 del self._inflight_pipelines[pipeline_id]
-            for request in requests:
-                ticket = service._tickets.pop(request.request_id, None)
-                if ticket is None or ticket._event.is_set():
-                    continue
-                ticket._fail(
-                    DeadlineExceededError(
-                        f"request {request.request_id} abandoned: its "
-                        f"flush exceeded the {flush_timeout}s "
-                        "flush_timeout budget"
-                    )
-                )
-                service._failed += 1
-                service._deadline_expired += 1
+            service._fail(
+                requests,
+                lambda request: DeadlineExceededError(
+                    f"request {request.request_id} abandoned: its "
+                    f"flush exceeded the {flush_timeout}s "
+                    "flush_timeout budget"
+                ),
+                expired=True,
+            )
             abandoned_any = True
         if abandoned_any:
             # Freed keys may dispatch immediately; flush_key/drain
@@ -600,10 +597,10 @@ class ThreadBackend:
         """
         if self._state == _STOPPED:
             return
-        self._respawns += 1
+        self.worker_respawns += 1
         thread = threading.Thread(
             target=self._worker_loop,
-            name=f"enqode-worker-r{self._respawns}",
+            name=f"enqode-worker-r{self.worker_respawns}",
             daemon=True,
         )
         self._threads.append(thread)

@@ -200,10 +200,11 @@ class ProcessBackend(ThreadBackend):
         #: key -> (payload, hardware backend): the current bundle set,
         #: shipped whole to every spawn/respawn.
         self._bundles: dict = {}
-        #: Worker *processes* respawned after deaths (the inherited
-        #: _respawns counts replacement threads).
+        #: Worker *processes* respawned after deaths, and respawns that
+        #: failed to come up (the inherited ``worker_respawns`` counts
+        #: replacement threads).  ``stats()`` reads all three.
         self.process_respawns = 0
-        self._respawn_failures = 0
+        self.process_respawn_failures = 0
         #: Set by _shutdown_fleet before it starts reaping, cleared by
         #: _spawn_fleet: an in-flight respawner that commits after the
         #: teardown swept its slot would otherwise leak a live process.
@@ -439,10 +440,12 @@ class ProcessBackend(ThreadBackend):
         if self._state == _STOPPED:
             return  # torn down while the death was in flight
         try:
-            proc, conn = self._spawn_worker(slot.index)
+            proc, conn = self._start_worker(slot.index)
+            deadline = time.monotonic() + self.service.config.spawn_timeout
+            self._await_ready(slot.index, proc, conn, deadline)
         except Exception:
             with self._fleet_lock:
-                self._respawn_failures += 1
+                self.process_respawn_failures += 1
             return
         with self._fleet_lock:
             if (
@@ -472,8 +475,13 @@ class ProcessBackend(ThreadBackend):
 
     # -- fleet spawn/teardown ------------------------------------------------------
 
-    def _spawn_worker(self, index: int):
-        """Start one worker process and complete its ready handshake."""
+    def _start_worker(self, index: int):
+        """Start one worker process on the current bundle set.
+
+        Returns ``(process, parent end of its pipe)`` without waiting:
+        :meth:`_await_ready` completes the handshake, so a fleet can
+        start every interpreter before it waits on any of them.
+        """
         with self._fleet_lock:
             bundles = [
                 (key, payload, hw_backend)
@@ -488,30 +496,42 @@ class ProcessBackend(ThreadBackend):
         )
         proc.start()
         child_conn.close()
+        return proc, parent_conn
+
+    def _await_ready(self, index: int, proc, conn, deadline: float) -> None:
+        """Wait until ``deadline`` for a started worker's ready message.
+
+        Any failure kills the process, closes its pipe and raises
+        :class:`ServiceError`.
+        """
         timeout = self.service.config.spawn_timeout
         try:
-            if not parent_conn.poll(timeout):
+            try:
+                ready = conn.poll(max(deadline - time.monotonic(), 0.0))
+                message = conn.recv() if ready else None
+            except (EOFError, OSError) as exc:
+                raise ServiceError(
+                    f"worker process {index} died during spawn (a "
+                    f"'__main__' script spawning workers at import time "
+                    f"must guard service start with "
+                    f"`if __name__ == '__main__':`)"
+                ) from exc
+            if message is None:
                 raise ServiceError(
                     f"worker process {index} did not complete its ready "
                     f"handshake within spawn_timeout={timeout}s"
                 )
-            kind, _, info = parent_conn.recv()
-        except (EOFError, OSError) as exc:
-            proc.kill()
-            raise ServiceError(
-                f"worker process {index} died during spawn: {exc}"
-            ) from exc
+            kind, _, info = message
+            if kind != "ready":
+                detail = "" if info is None else f": {info[0]}: {info[1]}"
+                raise ServiceError(
+                    f"worker process {index} failed to come up "
+                    f"({kind}{detail})"
+                )
         except BaseException:
             proc.kill()
+            conn.close()
             raise
-        if kind != "ready":
-            proc.kill()
-            detail = "" if info is None else f": {info[0]}: {info[1]}"
-            raise ServiceError(
-                f"worker process {index} failed to come up "
-                f"({kind}{detail})"
-            )
-        return proc, parent_conn
 
     def _spawn_fleet(self) -> None:
         """Bring every slot up; all-or-nothing.
@@ -525,47 +545,10 @@ class ProcessBackend(ThreadBackend):
             with self._fleet_lock:
                 self._fleet_closed = False
             for slot in self._slots:
-                with self._fleet_lock:
-                    bundles = [
-                        (key, payload, hw_backend)
-                        for key, (payload, hw_backend) in self._bundles.items()
-                    ]
-                parent_conn, child_conn = self._ctx.Pipe()
-                proc = self._ctx.Process(
-                    target=_worker_main,
-                    args=(child_conn, slot.index, bundles),
-                    name=f"enqode-procworker-{slot.index}",
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                started.append((slot, proc, parent_conn))
+                started.append((slot, *self._start_worker(slot.index)))
             deadline = time.monotonic() + self.service.config.spawn_timeout
             for slot, proc, conn in started:
-                remaining = max(deadline - time.monotonic(), 0.0)
-                if not conn.poll(remaining):
-                    raise ServiceError(
-                        f"worker process {slot.index} did not complete "
-                        f"its ready handshake within spawn_timeout="
-                        f"{self.service.config.spawn_timeout}s"
-                    )
-                try:
-                    kind, _, info = conn.recv()
-                except (EOFError, OSError) as exc:
-                    raise ServiceError(
-                        f"worker process {slot.index} died during spawn "
-                        f"(a '__main__' script spawning workers at import "
-                        f"time must guard service start with "
-                        f"`if __name__ == '__main__':`)"
-                    ) from exc
-                if kind != "ready":
-                    detail = (
-                        "" if info is None else f": {info[0]}: {info[1]}"
-                    )
-                    raise ServiceError(
-                        f"worker process {slot.index} failed to come up "
-                        f"({kind}{detail})"
-                    )
+                self._await_ready(slot.index, proc, conn, deadline)
                 with self._fleet_lock:
                     slot.proc = proc
                     slot.conn = conn

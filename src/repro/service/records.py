@@ -11,7 +11,7 @@ the aggregate snapshot (:meth:`repro.service.EncodingService.stats`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +37,9 @@ class EncodeRequest:
     submitted_at: float
     deadline: "float | None" = None
     attempts: int = 0
+    #: Set under the service lock when the request's outcome is counted
+    #: (served or failed), so no path counts it twice.
+    resolved: bool = False
 
     def expired(self, now: float) -> bool:
         return self.deadline is not None and now >= self.deadline
@@ -136,74 +139,179 @@ class EncodeResponse:
         )
 
 
+def _metric(
+    kind: str,
+    help_text: str,
+    name: "str | None" = None,
+    *,
+    label: "str | None" = None,
+    labels: str = "",
+    **default,
+):
+    """Declare a :class:`ServiceStats` field as one exported metric.
+
+    ``kind`` is the Prometheus type and ``help_text`` its ``# HELP``
+    line.  ``name`` is the exported name when it is not the field name
+    (plus ``_total`` for counters).  ``label`` names the label that
+    carries a dict field's keys or a string field's value; ``labels``
+    is a fixed label set (a summary quantile).  ``default`` is the
+    field's ``default`` or ``default_factory`` (``0`` if omitted).
+    """
+    declared = {
+        "kind": kind,
+        "help": help_text,
+        "name": name,
+        "label": label,
+        "labels": labels,
+    }
+    return field(metadata={"metric": declared}, **(default or {"default": 0}))
+
+
+def _escape(value) -> str:
+    """A label value, escaped for the exposition format."""
+    return (
+        str(value)
+        .replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+    )
+
+
+#: Both latency quantiles are samples of one summary family.
+_LATENCY = (
+    "summary",
+    "End-to-end request latency over the recent window.",
+    "request_latency_seconds",
+)
+_NAN = float("nan")
+
+
 @dataclass
 class ServiceStats:
-    """Aggregate service-level accounting snapshot.
+    """Service accounting: each field that exports is declared here once.
 
-    Latency percentiles are end-to-end request latencies (queueing +
-    encoding) over the service's most recent window (see
-    :data:`repro.service.service.STATS_WINDOW`); counts and means are
-    exact over all served traffic.  ``evals_per_sample`` averages the
-    optimizer's objective evaluations attributed to each sample — its
-    unit depends on ``EnQodeConfig.online_batch_engine`` (the per-row
-    drive counts each row's own evaluations, the stacked drive splits
-    whole-batch scipy passes evenly), so compare it only within one
-    engine setting; the
-    template counters are the transpile-cache hits/misses incurred by
-    this service's flushes only, and ``template_binds`` counts the
-    *rows* this service lowered through a cached template — one per
-    sample of every flush, each flush binding its rows through a single
-    vectorized ``bind_batch`` sweep.
+    A field built by ``_metric`` carries its Prometheus type, help text
+    and, where it differs from the field name, its exported name;
+    :meth:`to_metrics` is a loop over those declarations, in field
+    order.  :class:`repro.service.EncodingService` keeps one instance as
+    its running ledger and :meth:`~repro.service.EncodingService.stats`
+    returns a copy, so a snapshot observes whole flushes only.  The copy
+    adds what is derived at snapshot time: ``requests_pending``, the
+    means, the latency percentiles (over the most recent
+    :data:`repro.service.service.STATS_WINDOW` requests) and the
+    backend's own counters (``flusher_wakeups``, ``worker_respawns``,
+    ``process_respawns``, ``process_respawn_failures``).
 
-    Under the ``"thread"`` backend several flushes race: each flush
-    applies its whole contribution (counts, sums, and the latency-window
-    appends feeding p50/p95) in one locked step, so a snapshot never
-    observes a half-applied flush — percentiles are always computed
-    over complete flushes.  ``backend`` names the execution backend the
-    snapshot came from and ``flusher_wakeups`` counts background-flusher
-    wakeups (0 under ``"sync"``) — a flusher honoring a deadline by
-    sleeping wakes O(flushes) times, a busy-waiting one diverges.
-
-    The resilience counters follow the admission/flush paths:
-    ``rejected`` counts submissions refused at the front door (queue
-    budget with the ``"reject"`` policy, or an open circuit breaker),
-    ``shed_degraded`` counts over-budget submissions served by the
-    finetune-skipped degraded path (these also count in
-    ``requests_completed``), ``retries`` counts flush retry attempts,
-    ``breaker_opens`` counts closed/half-open → open transitions across
-    all keys, and ``deadline_expired`` counts requests failed because
-    their deadline passed (also counted in ``requests_failed``).
-    Conservation: every accepted-or-refused submission resolves —
-    ``requests_submitted == requests_completed + requests_failed +
+    Conservation: every accepted-or-refused submission resolves once,
+    so ``requests_submitted == requests_completed + requests_failed +
     rejected + requests_pending`` at any quiescent point.
+    ``shed_degraded`` responses also count in ``requests_completed``,
+    and ``deadline_expired`` failures in ``requests_failed``.
+
+    ``evals_per_sample`` has the unit of
+    ``EnQodeConfig.online_batch_engine`` (the per-row drive counts each
+    row's own evaluations, the stacked drive splits whole-batch scipy
+    passes evenly), so compare it only within one engine setting.  The
+    template counters cover this service's flushes only;
+    ``template_binds`` counts rows, so it equals the rows served by
+    flushes.
     """
 
-    requests_submitted: int = 0
-    requests_completed: int = 0
-    requests_failed: int = 0
-    requests_pending: int = 0
-    rejected: int = 0
-    shed_degraded: int = 0
-    retries: int = 0
-    breaker_opens: int = 0
-    deadline_expired: int = 0
-    num_flushes: int = 0
-    mean_batch_size: float = float("nan")
-    p50_latency: float = float("nan")
-    p95_latency: float = float("nan")
-    mean_latency: float = float("nan")
-    evals_per_sample: float = float("nan")
-    mean_fidelity: float = float("nan")
-    template_cache_hits: int = 0
-    template_cache_misses: int = 0
-    template_binds: int = 0
-    per_key_completed: dict = field(default_factory=dict)
-    #: Samples classified through :meth:`repro.service.service.
-    #: EncodingService.predict` (inline batched inference; separate from
-    #: the encode request counters above).
-    predictions_completed: int = 0
-    backend: str = "sync"
-    flusher_wakeups: int = 0
+    requests_submitted: int = _metric(
+        "counter", "Submissions accepted or refused by submit()."
+    )
+    requests_completed: int = _metric(
+        "counter", "Requests served (degraded responses included)."
+    )
+    requests_failed: int = _metric(
+        "counter", "Requests whose ticket resolved with an error."
+    )
+    rejected: int = _metric(
+        "counter",
+        "Submissions refused fast: queue budget or open breaker.",
+        "requests_rejected_total",
+    )
+    shed_degraded: int = _metric(
+        "counter",
+        "Over-budget submissions served by the finetune-skipped path.",
+        "requests_shed_degraded_total",
+    )
+    deadline_expired: int = _metric(
+        "counter",
+        "Requests failed because their deadline passed.",
+        "requests_deadline_expired_total",
+    )
+    retries: int = _metric(
+        "counter",
+        "Flush retry attempts after transient failures.",
+        "flush_retries_total",
+    )
+    breaker_opens: int = _metric(
+        "counter", "Circuit-breaker open transitions across all keys."
+    )
+    num_flushes: int = _metric(
+        "counter", "Micro-batch flushes executed.", "flushes_total"
+    )
+    template_binds: int = _metric(
+        "counter", "Rows lowered through a cached transpile template."
+    )
+    template_cache_hits: int = _metric(
+        "counter", "Template-cache hits incurred by this service's flushes."
+    )
+    template_cache_misses: int = _metric(
+        "counter", "Template-cache misses incurred by this service's flushes."
+    )
+    predictions_completed: int = _metric(
+        "counter", "Samples classified through predict().", "predictions_total"
+    )
+    flusher_wakeups: int = _metric(
+        "counter", "Background-flusher wakeups (0 under the sync backend)."
+    )
+    worker_respawns: int = _metric(
+        "counter", "Replacement worker threads started after worker deaths."
+    )
+    process_respawns: int = _metric(
+        "counter", "Worker processes respawned after deaths (process backend)."
+    )
+    process_respawn_failures: int = _metric(
+        "counter", "Worker-process respawns that failed to come up."
+    )
+    requests_pending: int = _metric(
+        "gauge", "Requests queued in the micro-batcher right now."
+    )
+    mean_batch_size: float = _metric(
+        "gauge", "Mean requests per flush.", default=_NAN
+    )
+    mean_fidelity: float = _metric(
+        "gauge", "Mean ideal fidelity of served embeddings.", default=_NAN
+    )
+    evals_per_sample: float = _metric(
+        "gauge",
+        "Mean optimizer objective evaluations per served sample.",
+        default=_NAN,
+    )
+    p50_latency: float = _metric(
+        *_LATENCY, labels='quantile="0.5"', default=_NAN
+    )
+    p95_latency: float = _metric(
+        *_LATENCY, labels='quantile="0.95"', default=_NAN
+    )
+    #: Mean end-to-end latency over all served traffic (not exported).
+    mean_latency: float = _NAN
+    per_key_completed: dict = _metric(
+        "counter",
+        "Requests served, by registry key.",
+        "requests_completed_by_key",
+        label="key",
+        default_factory=dict,
+    )
+    backend: str = _metric(
+        "gauge",
+        "Execution backend of this snapshot (label carries the name).",
+        "backend_info",
+        label="backend",
+        default="sync",
+    )
 
     def summary(self) -> str:
         """One human-readable line (what the examples print)."""
@@ -219,172 +327,60 @@ class ServiceStats:
             f"{self.template_cache_misses} misses, "
             f"{self.template_binds} template binds"
         )
-        resilience = []
-        if self.rejected:
-            resilience.append(f"{self.rejected} rejected")
-        if self.shed_degraded:
-            resilience.append(f"{self.shed_degraded} shed degraded")
-        if self.retries:
-            resilience.append(f"{self.retries} retries")
-        if self.breaker_opens:
-            resilience.append(f"{self.breaker_opens} breaker opens")
-        if self.deadline_expired:
-            resilience.append(f"{self.deadline_expired} deadline expired")
-        if resilience:
-            line += ", " + ", ".join(resilience)
-        return line
+        notes = [
+            f"{getattr(self, name)} {name.replace('_', ' ')}"
+            for name in (
+                "rejected",
+                "shed_degraded",
+                "retries",
+                "breaker_opens",
+                "deadline_expired",
+            )
+            if getattr(self, name)
+        ]
+        return ", ".join([line, *notes])
 
     def to_metrics(self, prefix: str = "enqode") -> str:
         """This snapshot in Prometheus text exposition format.
 
-        Scrape-ready: counters get a ``_total`` suffix, latency
-        percentiles export as summary quantiles, per-key completions as
-        a labelled counter family.  No dependencies — the exposition
-        format is plain text — and NaN-valued gauges (an idle service)
-        are simply omitted.  Serve the returned string with content
-        type ``text/plain; version=0.0.4``.
+        One family per declared field, in field order: counters get a
+        ``_total`` suffix, the latency percentiles export as summary
+        quantiles, dict fields as one labelled sample per key and string
+        fields as an info gauge.  NaN-valued samples (an idle service)
+        are omitted, and so is a family with no sample.  Serve the
+        returned string with content type ``text/plain; version=0.0.4``.
         """
-
-        def esc(value) -> str:
-            return (
-                str(value)
-                .replace("\\", "\\\\")
-                .replace('"', '\\"')
-                .replace("\n", "\\n")
-            )
-
         lines: list[str] = []
-
-        def emit(name, kind, help_text, value, labels="") -> None:
-            if isinstance(value, float) and not np.isfinite(value):
-                return
-            lines.append(f"# HELP {prefix}_{name} {help_text}")
-            lines.append(f"# TYPE {prefix}_{name} {kind}")
-            lines.append(f"{prefix}_{name}{labels} {value}")
-
-        emit(
-            "requests_submitted_total", "counter",
-            "Submissions accepted or refused by submit().",
-            self.requests_submitted,
-        )
-        emit(
-            "requests_completed_total", "counter",
-            "Requests served (degraded responses included).",
-            self.requests_completed,
-        )
-        emit(
-            "requests_failed_total", "counter",
-            "Requests whose ticket resolved with an error.",
-            self.requests_failed,
-        )
-        emit(
-            "requests_rejected_total", "counter",
-            "Submissions refused fast: queue budget or open breaker.",
-            self.rejected,
-        )
-        emit(
-            "requests_shed_degraded_total", "counter",
-            "Over-budget submissions served by the finetune-skipped path.",
-            self.shed_degraded,
-        )
-        emit(
-            "requests_deadline_expired_total", "counter",
-            "Requests failed because their deadline passed.",
-            self.deadline_expired,
-        )
-        emit(
-            "flush_retries_total", "counter",
-            "Flush retry attempts after transient failures.",
-            self.retries,
-        )
-        emit(
-            "breaker_opens_total", "counter",
-            "Circuit-breaker open transitions across all keys.",
-            self.breaker_opens,
-        )
-        emit(
-            "flushes_total", "counter",
-            "Micro-batch flushes executed.",
-            self.num_flushes,
-        )
-        emit(
-            "template_binds_total", "counter",
-            "Rows lowered through a cached transpile template.",
-            self.template_binds,
-        )
-        emit(
-            "template_cache_hits_total", "counter",
-            "Template-cache hits incurred by this service's flushes.",
-            self.template_cache_hits,
-        )
-        emit(
-            "template_cache_misses_total", "counter",
-            "Template-cache misses incurred by this service's flushes.",
-            self.template_cache_misses,
-        )
-        emit(
-            "predictions_total", "counter",
-            "Samples classified through predict().",
-            self.predictions_completed,
-        )
-        emit(
-            "flusher_wakeups_total", "counter",
-            "Background-flusher wakeups (0 under the sync backend).",
-            self.flusher_wakeups,
-        )
-        emit(
-            "requests_pending", "gauge",
-            "Requests queued in the micro-batcher right now.",
-            self.requests_pending,
-        )
-        emit(
-            "mean_batch_size", "gauge",
-            "Mean requests per flush.",
-            self.mean_batch_size,
-        )
-        emit(
-            "mean_fidelity", "gauge",
-            "Mean ideal fidelity of served embeddings.",
-            self.mean_fidelity,
-        )
-        emit(
-            "evals_per_sample", "gauge",
-            "Mean optimizer objective evaluations per served sample.",
-            self.evals_per_sample,
-        )
-        quantiles = [
-            ("0.5", self.p50_latency),
-            ("0.95", self.p95_latency),
-        ]
-        finite = [(q, v) for q, v in quantiles if np.isfinite(v)]
-        if finite:
-            lines.append(
-                f"# HELP {prefix}_request_latency_seconds "
-                "End-to-end request latency over the recent window."
+        families: set[str] = set()
+        for spec in fields(self):
+            declared = spec.metadata.get("metric")
+            if declared is None:
+                continue
+            kind, label = declared["kind"], declared["label"]
+            name = declared["name"] or (
+                spec.name + "_total" if kind == "counter" else spec.name
             )
-            lines.append(f"# TYPE {prefix}_request_latency_seconds summary")
-            for quantile, value in finite:
-                lines.append(
-                    f"{prefix}_request_latency_seconds"
-                    f'{{quantile="{quantile}"}} {value}'
-                )
-        if self.per_key_completed:
-            lines.append(
-                f"# HELP {prefix}_requests_completed_by_key "
-                "Requests served, by registry key."
-            )
-            lines.append(f"# TYPE {prefix}_requests_completed_by_key counter")
-            for key, count in sorted(
-                self.per_key_completed.items(), key=lambda kv: str(kv[0])
-            ):
-                lines.append(
-                    f"{prefix}_requests_completed_by_key"
-                    f'{{key="{esc(key)}"}} {count}'
-                )
-        emit(
-            "backend_info", "gauge",
-            "Execution backend of this snapshot (label carries the name).",
-            1,
-            labels=f'{{backend="{esc(self.backend)}"}}',
-        )
+            value = getattr(self, spec.name)
+            if isinstance(value, dict):
+                samples = [
+                    (f'{{{label}="{_escape(key)}"}}', count)
+                    for key, count in sorted(
+                        value.items(), key=lambda kv: str(kv[0])
+                    )
+                ]
+            elif isinstance(value, str):
+                samples = [(f'{{{label}="{_escape(value)}"}}', 1)]
+            elif isinstance(value, float) and not np.isfinite(value):
+                samples = []
+            else:
+                fixed = declared["labels"]
+                samples = [(f"{{{fixed}}}" if fixed else "", value)]
+            if not samples:
+                continue
+            family = f"{prefix}_{name}"
+            if family not in families:
+                families.add(family)
+                lines.append(f"# HELP {family} {declared['help']}")
+                lines.append(f"# TYPE {family} {kind}")
+            lines += [f"{family}{tags} {sample}" for tags, sample in samples]
         return "\n".join(lines) + "\n"

@@ -11,27 +11,31 @@ package provides:
 * a :class:`~repro.service.batcher.MicroBatcher` that accumulates
   ``submit()``-ed samples per key and flushes on ``max_batch`` or a
   latency deadline, so streaming traffic executes the *batched* stage
-  pipeline (stacked fine-tune + cached-template re-bind) instead of the
+  pipeline (batched fine-tune + cached-template re-bind) instead of the
   one-off path;
 * typed :class:`~repro.service.records.EncodeRequest` /
   :class:`~repro.service.records.EncodeResponse` records with
-  per-request timing and fidelity, aggregated into
-  :class:`~repro.service.records.ServiceStats` (p50/p95 latency,
+  per-request timing and fidelity, counted once each into one
+  :class:`~repro.service.records.ServiceStats` ledger (p50/p95 latency,
   evals/sample, template-cache hits);
 * a pluggable execution backend
   (:class:`~repro.core.config.ServiceConfig`): ``"sync"`` flushes
   inline from ``submit``/``poll`` calls, ``"thread"`` runs the
   :class:`~repro.service.async_service.ThreadBackend` — a background
   flusher that honors ``max_delay`` without requiring traffic plus a
-  worker pool flushing different keys concurrently.
+  worker pool flushing different keys concurrently — and ``"process"``
+  runs the same control plane over the
+  :class:`~repro.service.process_backend.ProcessBackend` fleet of
+  worker processes.
 
 Every flush runs :meth:`repro.core.encoder.EnQodeEncoder.pipeline`'s
-``run`` on the accumulated batch — the *same* stage objects
+``run_reported`` on the accumulated batch — the *same* stage objects
 ``encode_batch`` executes — so a submit-then-flush of B samples is
 numerically identical to one ``encode_batch`` call on those B samples.
-The thread backend preserves this: at most one flush per key (and per
-underlying pipeline) is in flight, so each key's micro-batches are
-contiguous FIFO slices of its traffic, completed in submission order.
+The thread and process backends preserve this: at most one flush per
+key (and per underlying pipeline) is in flight, so each key's
+micro-batches are contiguous FIFO slices of its traffic, completed in
+submission order.
 
 Example
 -------
@@ -58,7 +62,7 @@ import pathlib
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -177,29 +181,22 @@ class EncodingService:
         Encoder collection to serve from (a fresh empty registry by
         default; populate via :meth:`register` / :meth:`load`).
     config:
-        A :class:`~repro.core.config.ServiceConfig` bundling every knob
-        below; passing it overrides the individual keyword arguments.
-    max_batch:
-        Size trigger: a key's queue reaching this many pending requests
-        flushes immediately.
-    max_delay:
-        Optional latency deadline in seconds.  Sync backend: any queue
-        whose oldest request has waited this long is flushed at the next
-        ``submit`` or ``poll`` call.  Thread backend: the background
-        flusher wakes and flushes it with no traffic required.  ``None``
-        (default) disables the deadline — callers flush explicitly.
-    backend:
-        ``"sync"`` (default) or ``"thread"`` — see
-        :class:`~repro.core.config.ServiceConfig`.  The thread backend
-        needs :meth:`start` before submissions (or use the service as a
-        context manager) and :meth:`stop` when done.
-    workers:
-        Thread-backend worker-pool size (concurrent flushes of
-        *different* keys; per-key flushes never overlap).
+        A :class:`~repro.core.config.ServiceConfig` holding every
+        serving knob (backend, batching, admission, retries, breakers,
+        fleet).  Alternatively pass the knobs as keyword arguments
+        (``EncodingService(max_batch=8, backend="thread")``), which
+        build the config; giving both raises :class:`ServiceError`.
+        The thread and process backends need :meth:`start` before
+        submissions (or use the service as a context manager) and
+        :meth:`stop` when done.
     clock:
         Monotonic time source; injectable for deterministic tests.
         Condition-variable waits always use real time — with a fake
         clock, advance it and call :meth:`poll` to wake the flusher.
+    fault_injector, transient_classifier, retry_sleeper:
+        Resilience hooks: the chaos harness fired at the flush and stage
+        sites, the predicate deciding which flush failures retry, and
+        the backoff sleep (see :mod:`repro.service.resilience`).
     """
 
     def __init__(
@@ -207,47 +204,19 @@ class EncodingService:
         registry: "EncoderRegistry | None" = None,
         *,
         config: "ServiceConfig | None" = None,
-        max_batch: int = 32,
-        max_delay: "float | None" = None,
-        backend: str = "sync",
-        workers: int = 4,
-        max_pending_per_key: "int | None" = None,
-        max_pending_total: "int | None" = None,
-        overload_policy: str = "reject",
-        flush_timeout: "float | None" = None,
-        retry_attempts: int = 0,
-        retry_backoff: float = 0.05,
-        retry_jitter: float = 0.5,
-        retry_seed: int = 0,
-        breaker_threshold: "int | None" = None,
-        breaker_reset_timeout: float = 30.0,
-        shard_strategy: str = "rendezvous",
-        spawn_timeout: float = 60.0,
-        handshake_timeout: float = 30.0,
         clock=time.monotonic,
         fault_injector=None,
         transient_classifier=None,
         retry_sleeper=time.sleep,
+        **knobs,
     ) -> None:
         if config is None:
-            config = ServiceConfig(
-                backend=backend,
-                workers=workers,
-                max_batch=max_batch,
-                max_delay=max_delay,
-                max_pending_per_key=max_pending_per_key,
-                max_pending_total=max_pending_total,
-                overload_policy=overload_policy,
-                flush_timeout=flush_timeout,
-                retry_attempts=retry_attempts,
-                retry_backoff=retry_backoff,
-                retry_jitter=retry_jitter,
-                retry_seed=retry_seed,
-                breaker_threshold=breaker_threshold,
-                breaker_reset_timeout=breaker_reset_timeout,
-                shard_strategy=shard_strategy,
-                spawn_timeout=spawn_timeout,
-                handshake_timeout=handshake_timeout,
+            config = ServiceConfig(**knobs)
+        elif knobs:
+            raise ServiceError(
+                f"pass serving knobs either through config= or as keyword "
+                f"arguments, not both (got config= and "
+                f"{', '.join(sorted(knobs))})"
             )
         self.config = config
         self.registry = registry if registry is not None else EncoderRegistry()
@@ -255,32 +224,24 @@ class EncodingService:
             max_batch=config.max_batch, max_delay=config.max_delay
         )
         self.clock = clock
-        #: One lock guards the batcher, the ticket table, and the stats
-        #: counters; the thread backend's condition variables share it.
+        #: One lock guards the batcher, the ticket table, and the
+        #: ledger; the thread backend's condition variables share it.
         #: Reentrant so sync-backend flush paths may nest safely.
         self._lock = threading.RLock()
         self._ids = itertools.count()
         self._flush_ids = itertools.count()
         self._tickets: "dict[int, EncodeTicket]" = {}
-        # Aggregate accounting (ServiceStats is a computed snapshot).
-        # Means/counts are exact running aggregates; only the latency
-        # percentile window holds per-request history, and it is bounded
-        # so unbounded traffic cannot grow service memory.  Every flush
-        # applies its whole contribution under the lock in one step.
-        self._submitted = 0
-        self._completed = 0
-        self._failed = 0
-        self._flushes = 0
+        # The running ledger: every exported count, exact over all
+        # traffic.  Beside it sit only the sums behind the means and the
+        # latency percentile window, bounded so unbounded traffic cannot
+        # grow service memory.  Every flush applies its whole
+        # contribution under the lock in one step.
+        self._ledger = ServiceStats(backend=config.backend)
         self._latency_window: "deque[float]" = deque(maxlen=STATS_WINDOW)
         self._latency_sum = 0.0
         self._batch_size_sum = 0
         self._evaluation_sum = 0
         self._fidelity_sum = 0.0
-        self._per_key_completed: dict = {}
-        self._predictions = 0
-        self._template_hits = 0
-        self._template_misses = 0
-        self._template_binds = 0
         # Resilience machinery (see repro.service.resilience).  The
         # injector fires the "flush" site inside _execute_flush and is
         # attached to every pipeline registered *through this service*
@@ -300,11 +261,6 @@ class EncodingService:
             sleeper=retry_sleeper,
         )
         self._breakers: "dict[object, CircuitBreaker]" = {}
-        self._rejected = 0
-        self._shed_degraded = 0
-        self._retries = 0
-        self._breaker_opens = 0
-        self._deadline_expired = 0
         if config.backend == "thread":
             self._backend_impl = ThreadBackend(self, config.workers)
         elif config.backend == "process":
@@ -417,15 +373,52 @@ class EncodingService:
         """
         for key in list(self.batcher.pending_keys()):
             while self.batcher.pending(key):
-                for request in self.batcher.drain(key):
-                    ticket = self._tickets.pop(request.request_id, None)
-                    error = ServiceError(
+                self._fail(
+                    self.batcher.drain(key),
+                    lambda request: ServiceError(
                         f"request {request.request_id} rejected: service "
                         "stopped without draining"
-                    )
-                    if ticket is not None:
-                        ticket._fail(error)
-                    self._failed += 1
+                    ),
+                )
+
+    def _fail(self, requests, error_for, expired: bool = False) -> None:
+        """Resolve ``requests`` as failed (caller holds the lock).
+
+        ``error_for(request)`` builds the exception the ticket carries.
+        A request already resolved (served, expired between retries, or
+        its flush abandoned) is skipped, so each request counts once;
+        ``expired`` failures also count in ``deadline_expired``.
+        """
+        for request in requests:
+            if request.resolved:
+                continue
+            request.resolved = True
+            self._ledger.requests_failed += 1
+            if expired:
+                self._ledger.deadline_expired += 1
+            ticket = self._tickets.pop(request.request_id, None)
+            if ticket is not None:
+                ticket._fail(error_for(request))
+
+    def _complete(self, requests, responses) -> None:
+        """Resolve ``requests`` with their served ``responses`` (caller
+        holds the lock): count each and feed the means and the latency
+        window.  Marking them resolved keeps a flush-timeout sweep that
+        races the completion from failing them again."""
+        ledger = self._ledger
+        for request, response in zip(requests, responses):
+            request.resolved = True
+            ledger.requests_completed += 1
+            ledger.per_key_completed[response.key] = (
+                ledger.per_key_completed.get(response.key, 0) + 1
+            )
+            self._latency_window.append(response.latency)
+            self._latency_sum += response.latency
+            self._evaluation_sum += response.encoded.optimizer_evaluations
+            self._fidelity_sum += response.encoded.ideal_fidelity
+            ticket = self._tickets.pop(request.request_id, None)
+            if ticket is not None:
+                ticket._complete(response)
 
     def drain(self, timeout: "float | None" = None) -> None:
         """Serve everything pending and block until quiescent."""
@@ -492,7 +485,6 @@ class EncodingService:
                 f"expects {encoder.input_size}"
             )
         config = self.config
-        shed = False
         with self._lock:
             # Checked under the lock: stop() holds it for its whole
             # state transition, so a submission can never slip into the
@@ -506,16 +498,6 @@ class EncodingService:
                     "(or use it as a context manager) before submitting"
                 )
             now = self.clock()
-            breaker = self._breakers.get(key)
-            if breaker is not None and not breaker.allow(now):
-                self._submitted += 1
-                self._rejected += 1
-                raise CircuitOpenError(
-                    f"circuit breaker for key {key!r} is open "
-                    f"({breaker.threshold} consecutive flush failures); "
-                    f"probes resume {config.breaker_reset_timeout}s "
-                    "after it opened"
-                )
             over = (
                 config.max_pending_per_key is not None
                 and self.batcher.pending(key) >= config.max_pending_per_key
@@ -523,34 +505,41 @@ class EncodingService:
                 config.max_pending_total is not None
                 and self.batcher.pending() >= config.max_pending_total
             )
-            if over and config.overload_policy == "reject":
-                self._submitted += 1
-                self._rejected += 1
-                raise OverloadError(
+            breaker = self._breakers.get(key)
+            refusal = None
+            if breaker is not None and not breaker.allow(now):
+                refusal = CircuitOpenError(
+                    f"circuit breaker for key {key!r} is open "
+                    f"({breaker.threshold} consecutive flush failures); "
+                    f"probes resume {config.breaker_reset_timeout}s "
+                    "after it opened"
+                )
+            elif over and config.overload_policy == "reject":
+                refusal = OverloadError(
                     f"queue budget exceeded for key {key!r} "
                     f"({self.batcher.pending(key)} pending on the key, "
                     f"{self.batcher.pending()} total); retry later or "
                     "switch overload_policy='degrade'"
                 )
-            if over:
-                self._submitted += 1
-                shed = True
-            else:
-                request = EncodeRequest(
-                    request_id=next(self._ids),
-                    key=key,
-                    sample=sample,
-                    submitted_at=now,
-                    deadline=None if deadline is None else now + deadline,
-                )
-                ticket = EncodeTicket(request=request, _service=self)
-                self._tickets[request.request_id] = ticket
-                self._submitted += 1
-                full = self.batcher.add(request)
-        if shed:
+            self._ledger.requests_submitted += 1
+            if refusal is not None:
+                self._ledger.rejected += 1
+                raise refusal
+            request = EncodeRequest(
+                request_id=next(self._ids),
+                key=key,
+                sample=sample,
+                submitted_at=now,
+                deadline=None if deadline is None else now + deadline,
+            )
+            ticket = EncodeTicket(request=request, _service=self)
+            self._tickets[request.request_id] = ticket
+            full = not over and self.batcher.add(request)
+        if over:
             # Outside the lock: the degraded bind is microseconds, but
             # there is no reason to serialize it against the batcher.
-            return self._serve_degraded(sample, key)
+            self._serve_degraded(request)
+            return ticket
         if self._backend_impl is not None:
             # Wake the flusher: a fresh queue head may arm an earlier
             # deadline, and a full queue must dispatch now.
@@ -561,35 +550,27 @@ class EncodingService:
         self.poll()
         return ticket
 
-    def _serve_degraded(self, sample: np.ndarray, key) -> EncodeTicket:
-        """Serve one over-budget sample via the finetune-skipped path.
+    def _serve_degraded(self, request: EncodeRequest) -> None:
+        """Serve one over-budget request via the finetune-skipped path.
 
         Runs inline on the submitting thread (route + centroid template
         bind — microseconds), so shed traffic never touches the queues
-        or the worker pool.  The returned ticket is already resolved:
-        ``done`` with ``degraded=True``, or failed if even the degraded
-        bind errored.
+        or the worker pool.  The request's ticket resolves before this
+        returns: ``done`` with ``degraded=True``, or failed if even the
+        degraded bind errored.
         """
-        request = EncodeRequest(
-            request_id=next(self._ids),
-            key=key,
-            sample=sample,
-            submitted_at=self.clock(),
-        )
-        ticket = EncodeTicket(request=request, _service=self)
         try:
-            pipeline = self.registry.get(key).pipeline
+            pipeline = self.registry.get(request.key).pipeline
             encoded = pipeline.run_degraded_reported(
-                sample[np.newaxis, :]
+                request.sample[np.newaxis, :]
             )[0][0]
         except Exception as exc:
             with self._lock:
-                self._failed += 1
-            ticket._fail(exc)
-            return ticket
+                self._fail([request], lambda _request: exc)
+            return
         response = EncodeResponse(
             request_id=request.request_id,
-            key=key,
+            key=request.key,
             encoded=encoded,
             submitted_at=request.submitted_at,
             completed_at=self.clock(),
@@ -598,17 +579,8 @@ class EncodingService:
             degraded=True,
         )
         with self._lock:
-            self._completed += 1
-            self._shed_degraded += 1
-            self._latency_window.append(response.latency)
-            self._latency_sum += response.latency
-            self._evaluation_sum += encoded.optimizer_evaluations
-            self._fidelity_sum += encoded.ideal_fidelity
-            self._per_key_completed[key] = (
-                self._per_key_completed.get(key, 0) + 1
-            )
-        ticket._complete(response)
-        return ticket
+            self._ledger.shed_degraded += 1
+            self._complete([request], [response])
 
     def _serve_ticket(
         self, ticket: EncodeTicket, flush: bool, timeout: "float | None"
@@ -691,7 +663,7 @@ class EncodingService:
         samples = validate_samples(samples, model.input_size, ServiceError)
         labels = model.predict(samples)
         with self._lock:
-            self._predictions += samples.shape[0]
+            self._ledger.predictions_completed += samples.shape[0]
         return labels
 
     # -- export --------------------------------------------------------------------
@@ -780,19 +752,15 @@ class EncodingService:
         if len(live) == len(requests):
             return requests
         with self._lock:
-            for request in requests:
-                if not request.expired(now):
-                    continue
-                ticket = self._tickets.pop(request.request_id, None)
-                error = DeadlineExceededError(
+            self._fail(
+                [r for r in requests if r.expired(now)],
+                lambda request: DeadlineExceededError(
                     f"request {request.request_id} expired: its "
                     f"{request.deadline - request.submitted_at:.3f}s "
                     "deadline passed before its micro-batch flushed"
-                )
-                if ticket is not None:
-                    ticket._fail(error)
-                self._failed += 1
-                self._deadline_expired += 1
+                ),
+                expired=True,
+            )
         return live
 
     def _flush_abandoned(self, task_id) -> bool:
@@ -865,7 +833,7 @@ class EncodingService:
                     exc
                 ):
                     with self._lock:
-                        self._retries += 1
+                        self._ledger.retries += 1
                         for request in requests:
                             request.attempts = attempt + 1
                     self._retry_policy.sleep(attempt)
@@ -880,14 +848,10 @@ class EncodingService:
                 # whatever was queued under the old model.
                 with self._lock:
                     if self._record_breaker_failure(key):
-                        self._breaker_opens += 1
+                        self._ledger.breaker_opens += 1
                     if self._flush_abandoned(task_id):
                         return []
-                    for request in requests:
-                        ticket = self._tickets.pop(request.request_id, None)
-                        if ticket is not None:
-                            ticket._fail(exc)
-                        self._failed += 1
+                    self._fail(requests, lambda _request: exc)
                 if reraise:
                     raise ServiceError(
                         f"flush of {len(requests)} request(s) for encoder "
@@ -916,28 +880,19 @@ class EncodingService:
                 )
                 for request, sample in zip(requests, encoded)
             ]
-            # One atomic stats application per flush: counts, sums, and
-            # the percentile window advance together or not at all.
+            # One atomic ledger application per flush: counts, sums, and
+            # the percentile window advance together or not at all.  The
+            # run's report is the pipeline's only accounting.
+            ledger = self._ledger
             if report.template_hit is not None:
                 if report.template_hit:
-                    self._template_hits += 1
+                    ledger.template_cache_hits += 1
                 else:
-                    self._template_misses += 1
-            self._template_binds += report.template_binds
-            self._flushes += 1
+                    ledger.template_cache_misses += 1
+            ledger.template_binds += report.template_binds
+            ledger.num_flushes += 1
             self._batch_size_sum += len(requests)
-            for response, sample in zip(responses, encoded):
-                self._completed += 1
-                self._latency_window.append(response.latency)
-                self._latency_sum += response.latency
-                self._evaluation_sum += sample.optimizer_evaluations
-                self._fidelity_sum += sample.ideal_fidelity
-                self._per_key_completed[key] = (
-                    self._per_key_completed.get(key, 0) + 1
-                )
-                ticket = self._tickets.pop(response.request_id, None)
-                if ticket is not None:
-                    ticket._complete(response)
+            self._complete(requests, responses)
         return responses
 
     def _run_pipeline(self, key, pipeline, requests: list, samples):
@@ -995,56 +950,40 @@ class EncodingService:
     def stats(self) -> ServiceStats:
         """Aggregate accounting snapshot since construction.
 
-        Counts and means are exact over all served traffic; latency
-        percentiles cover the most recent :data:`STATS_WINDOW` requests.
-        Taken under the service lock, so a snapshot observes whole
-        flushes only, even while the worker pool is racing.
+        A copy of the ledger plus what derives from it: the pending
+        count, the means (exact over all served traffic), the latency
+        percentiles over the most recent :data:`STATS_WINDOW` requests,
+        and the backend's wakeup and respawn counters.  Taken under the
+        service lock, so a snapshot observes whole flushes only, even
+        while the worker pool is racing.
         """
+        nan = float("nan")
         with self._lock:
+            ledger = self._ledger
+            done = ledger.requests_completed
+            flushes = ledger.num_flushes
             window = np.asarray(self._latency_window, dtype=float)
-            have = window.size > 0
-            done = self._completed
-            return ServiceStats(
-                requests_submitted=self._submitted,
-                requests_completed=done,
-                requests_failed=self._failed,
+            p50, p95 = (
+                np.percentile(window, [50, 95]) if window.size else (nan, nan)
+            )
+            impl = self._backend_impl
+            return replace(
+                ledger,
+                per_key_completed=dict(ledger.per_key_completed),
                 requests_pending=self.batcher.pending(),
-                num_flushes=self._flushes,
                 mean_batch_size=(
-                    self._batch_size_sum / self._flushes
-                    if self._flushes
-                    else float("nan")
+                    self._batch_size_sum / flushes if flushes else nan
                 ),
-                p50_latency=(
-                    float(np.percentile(window, 50)) if have else float("nan")
-                ),
-                p95_latency=(
-                    float(np.percentile(window, 95)) if have else float("nan")
-                ),
-                mean_latency=(
-                    self._latency_sum / done if done else float("nan")
-                ),
-                evals_per_sample=(
-                    self._evaluation_sum / done if done else float("nan")
-                ),
-                mean_fidelity=(
-                    self._fidelity_sum / done if done else float("nan")
-                ),
-                template_cache_hits=self._template_hits,
-                template_cache_misses=self._template_misses,
-                template_binds=self._template_binds,
-                per_key_completed=dict(self._per_key_completed),
-                predictions_completed=self._predictions,
-                rejected=self._rejected,
-                shed_degraded=self._shed_degraded,
-                retries=self._retries,
-                breaker_opens=self._breaker_opens,
-                deadline_expired=self._deadline_expired,
-                backend=self.config.backend,
-                flusher_wakeups=(
-                    self._backend_impl.flusher_wakeups
-                    if self._backend_impl is not None
-                    else 0
+                p50_latency=float(p50),
+                p95_latency=float(p95),
+                mean_latency=self._latency_sum / done if done else nan,
+                evals_per_sample=self._evaluation_sum / done if done else nan,
+                mean_fidelity=self._fidelity_sum / done if done else nan,
+                flusher_wakeups=getattr(impl, "flusher_wakeups", 0),
+                worker_respawns=getattr(impl, "worker_respawns", 0),
+                process_respawns=getattr(impl, "process_respawns", 0),
+                process_respawn_failures=getattr(
+                    impl, "process_respawn_failures", 0
                 ),
             )
 

@@ -468,12 +468,10 @@ def test_online_batch_engine_validation(segment4):
 
 
 def test_pipeline_records_bind_stage_seconds(fitted, cluster_data):
-    """The stats split route/finetune/bind/lower; batched binds land in bind."""
-    pipeline = fitted.pipeline
-    before = pipeline.stats.bind_seconds
-    runs_before = pipeline.stats.runs
-    fitted.encode_batch(cluster_data[:6])
-    assert pipeline.stats.runs == runs_before + 1
-    assert pipeline.stats.bind_seconds > before
-    assert pipeline.stats.route_seconds > 0.0
-    assert pipeline.stats.finetune_seconds > 0.0
+    """The run report splits route/finetune/bind/lower; batched binds
+    land in bind."""
+    _, report = fitted.pipeline.run_reported(cluster_data[:6])
+    assert report.batch_size == 6
+    assert report.bind_seconds > 0.0
+    assert report.route_seconds > 0.0
+    assert report.finetune_seconds > 0.0

@@ -270,19 +270,21 @@ def test_injected_death_sigkills_and_respawns(fitted_pair, cluster_data):
         service.register("k", fitted_pair[0])
         tickets = [service.submit(x, key="k") for x in cluster_data[:8]]
         service.drain(timeout=180.0)
-        backend = service._backend_impl
         assert injector.fired_count("worker") == 1
-        assert backend._respawns == 1  # replacement worker thread
+        # The replacement worker thread.
+        assert service.stats().worker_respawns == 1
         # The replacement *process* spawns asynchronously (a fresh
         # interpreter importing numpy) while survivors absorb the
         # rerouted traffic; wait for it to land.
         deadline = time.monotonic() + 120.0
         while (
-            backend.process_respawns < 1 and time.monotonic() < deadline
+            service.stats().process_respawns < 1
+            and time.monotonic() < deadline
         ):
             time.sleep(0.1)
-        assert backend.process_respawns >= 1  # replacement process
-        assert backend._respawn_failures == 0
+        respawned = service.stats()
+        assert respawned.process_respawns >= 1  # replacement process
+        assert respawned.process_respawn_failures == 0
         assert all(t.done for t in tickets)  # deaths never fail work
         _assert_bit_identical_replay(service, tickets)
         stats = service.stats()

@@ -126,6 +126,9 @@ def test_resilience_knobs_reach_service_config():
     assert service.config.overload_policy == "degrade"
     assert service.config.retry_attempts == 2
     assert service.config.breaker_threshold == 5
+    # A knob beside config= would be dropped silently; it is refused.
+    with pytest.raises(ServiceError, match="not both"):
+        EncodingService(config=ServiceConfig(), max_pending_per_key=3)
 
 
 # -- admission control -----------------------------------------------------------------
@@ -664,6 +667,132 @@ def test_will_serve_lifecycle(fitted, cluster_data):
     assert not backend.will_serve  # STOPPED
 
 
+# -- ledger conservation ---------------------------------------------------------------
+
+
+def _stop_without_drain(backend):
+    def scenario(service_for, data, monkeypatch):
+        service = service_for(max_batch=100, backend=backend)
+        service.start()
+        tickets = [service.submit(x, key="a") for x in data[:3]]
+        service.stop(drain=False)
+        return service, tickets
+
+    return scenario
+
+
+def _deadline_expiry(service_for, data, monkeypatch):
+    clock = ManualClock()
+    service = service_for(max_batch=100, clock=clock)
+    tickets = [
+        service.submit(data[0], key="a", deadline=1.0),
+        service.submit(data[1], key="a"),
+    ]
+    clock.advance(2.0)
+    service.flush()
+    return service, tickets
+
+
+def _terminal_flush_failure(service_for, data, monkeypatch):
+    service = service_for(
+        max_batch=100,
+        fault_injector=FaultInjector(
+            [FaultRule("flush", kind="error", transient=False)]
+        ),
+    )
+    tickets = [service.submit(x, key="a") for x in data[:2]]
+    with pytest.raises(ServiceError, match="failed"):
+        service.flush()
+    return service, tickets
+
+
+def _degraded_failure(service_for, data, monkeypatch):
+    service = service_for(
+        max_batch=100, max_pending_per_key=1, overload_policy="degrade"
+    )
+
+    def broken_bind(samples):
+        raise RuntimeError("degraded bind failed")
+
+    queued = service.submit(data[0], key="a")
+    monkeypatch.setattr(
+        service.registry.get("a").pipeline,
+        "run_degraded_reported",
+        broken_bind,
+    )
+    shed = service.submit(data[1], key="a")
+    assert shed.failed
+    service.flush()
+    return service, [queued, shed]
+
+
+def _abandoned_retrying_flush(deadlines):
+    """A thread-backend flush that fails transiently forever, retrying
+    every 20 ms, with one request per entry of ``deadlines``: its
+    ``flush_timeout`` abandons it at 0.15 s, and its zombie gives up at
+    about 0.5 s, before ``stop`` returns."""
+
+    def scenario(service_for, data, monkeypatch):
+        with service_for(
+            backend="thread",
+            workers=1,
+            max_batch=len(deadlines),
+            flush_timeout=0.15,
+            retry_attempts=25,
+            retry_backoff=0.01,
+            retry_sleeper=lambda _delay: time.sleep(0.02),
+            fault_injector=FaultInjector([FaultRule("flush", kind="error")]),
+        ) as service:
+            tickets = [
+                service.submit(x, key="a", deadline=deadline)
+                for x, deadline in zip(data, deadlines)
+            ]
+            assert all(ticket.wait(5.0) for ticket in tickets)
+        return service, tickets
+
+    return scenario
+
+
+@pytest.mark.parametrize(
+    "scenario, failed",
+    [
+        pytest.param(_stop_without_drain("sync"), 3, id="sync-stop"),
+        pytest.param(_stop_without_drain("thread"), 3, id="thread-stop"),
+        pytest.param(_deadline_expiry, 1, id="deadline-expiry"),
+        pytest.param(_terminal_flush_failure, 2, id="terminal-flush"),
+        pytest.param(_degraded_failure, 1, id="degraded-failure"),
+        # The first request expires between retries, before the
+        # abandonment fails its batch-mate: counted once, not again.
+        pytest.param(
+            _abandoned_retrying_flush([0.05, None]),
+            2,
+            id="expired-then-abandoned",
+        ),
+        # The abandonment fails the request first; its deadline then
+        # passes while the zombie flush is still retrying.
+        pytest.param(
+            _abandoned_retrying_flush([0.3]), 1, id="abandoned-then-expired"
+        ),
+    ],
+)
+def test_every_resolution_path_counts_each_request_once(
+    fitted, cluster_data, monkeypatch, scenario, failed
+):
+    def service_for(**knobs):
+        service = EncodingService(**knobs)
+        service.register("a", fitted)
+        return service
+
+    service, tickets = scenario(service_for, cluster_data, monkeypatch)
+    stats = service.stats()
+    assert all(ticket.done != ticket.failed for ticket in tickets)
+    assert stats.requests_submitted == len(tickets)
+    assert stats.requests_failed == failed
+    assert stats.requests_completed == len(tickets) - failed
+    assert stats.requests_pending == 0
+    assert _conserved(stats)
+
+
 # -- resilience primitives -------------------------------------------------------------
 
 
@@ -799,6 +928,134 @@ def test_to_metrics_skips_nan_gauges_and_escapes_labels():
     text = stats.to_metrics(prefix="svc")
     assert "mean_fidelity" not in text  # NaN gauge omitted
     assert 'svc_requests_completed_by_key{key="we\\"ird\\nkey\\\\x"} 2' in text
+
+
+#: A fully populated snapshot in exposition format.  Scrapers, dashboards
+#: and alerts key on these exact names and help lines, so the text is
+#: pinned byte for byte.
+GOLDEN_METRICS = r"""# HELP enqode_requests_submitted_total Submissions accepted or refused by submit().
+# TYPE enqode_requests_submitted_total counter
+enqode_requests_submitted_total 42
+# HELP enqode_requests_completed_total Requests served (degraded responses included).
+# TYPE enqode_requests_completed_total counter
+enqode_requests_completed_total 30
+# HELP enqode_requests_failed_total Requests whose ticket resolved with an error.
+# TYPE enqode_requests_failed_total counter
+enqode_requests_failed_total 5
+# HELP enqode_requests_rejected_total Submissions refused fast: queue budget or open breaker.
+# TYPE enqode_requests_rejected_total counter
+enqode_requests_rejected_total 5
+# HELP enqode_requests_shed_degraded_total Over-budget submissions served by the finetune-skipped path.
+# TYPE enqode_requests_shed_degraded_total counter
+enqode_requests_shed_degraded_total 3
+# HELP enqode_requests_deadline_expired_total Requests failed because their deadline passed.
+# TYPE enqode_requests_deadline_expired_total counter
+enqode_requests_deadline_expired_total 2
+# HELP enqode_flush_retries_total Flush retry attempts after transient failures.
+# TYPE enqode_flush_retries_total counter
+enqode_flush_retries_total 4
+# HELP enqode_breaker_opens_total Circuit-breaker open transitions across all keys.
+# TYPE enqode_breaker_opens_total counter
+enqode_breaker_opens_total 1
+# HELP enqode_flushes_total Micro-batch flushes executed.
+# TYPE enqode_flushes_total counter
+enqode_flushes_total 9
+# HELP enqode_template_binds_total Rows lowered through a cached transpile template.
+# TYPE enqode_template_binds_total counter
+enqode_template_binds_total 27
+# HELP enqode_template_cache_hits_total Template-cache hits incurred by this service's flushes.
+# TYPE enqode_template_cache_hits_total counter
+enqode_template_cache_hits_total 8
+# HELP enqode_template_cache_misses_total Template-cache misses incurred by this service's flushes.
+# TYPE enqode_template_cache_misses_total counter
+enqode_template_cache_misses_total 1
+# HELP enqode_predictions_total Samples classified through predict().
+# TYPE enqode_predictions_total counter
+enqode_predictions_total 6
+# HELP enqode_flusher_wakeups_total Background-flusher wakeups (0 under the sync backend).
+# TYPE enqode_flusher_wakeups_total counter
+enqode_flusher_wakeups_total 11
+# HELP enqode_worker_respawns_total Replacement worker threads started after worker deaths.
+# TYPE enqode_worker_respawns_total counter
+enqode_worker_respawns_total 2
+# HELP enqode_process_respawns_total Worker processes respawned after deaths (process backend).
+# TYPE enqode_process_respawns_total counter
+enqode_process_respawns_total 1
+# HELP enqode_process_respawn_failures_total Worker-process respawns that failed to come up.
+# TYPE enqode_process_respawn_failures_total counter
+enqode_process_respawn_failures_total 1
+# HELP enqode_requests_pending Requests queued in the micro-batcher right now.
+# TYPE enqode_requests_pending gauge
+enqode_requests_pending 2
+# HELP enqode_mean_batch_size Mean requests per flush.
+# TYPE enqode_mean_batch_size gauge
+enqode_mean_batch_size 3.0
+# HELP enqode_mean_fidelity Mean ideal fidelity of served embeddings.
+# TYPE enqode_mean_fidelity gauge
+enqode_mean_fidelity 0.9875
+# HELP enqode_evals_per_sample Mean optimizer objective evaluations per served sample.
+# TYPE enqode_evals_per_sample gauge
+enqode_evals_per_sample 14.5
+# HELP enqode_request_latency_seconds End-to-end request latency over the recent window.
+# TYPE enqode_request_latency_seconds summary
+enqode_request_latency_seconds{quantile="0.5"} 0.0125
+enqode_request_latency_seconds{quantile="0.95"} 0.0375
+# HELP enqode_requests_completed_by_key Requests served, by registry key.
+# TYPE enqode_requests_completed_by_key counter
+enqode_requests_completed_by_key{key="a"} 15
+enqode_requests_completed_by_key{key="b"} 12
+enqode_requests_completed_by_key{key="we\"ird\nkey\\x"} 3
+# HELP enqode_backend_info Execution backend of this snapshot (label carries the name).
+# TYPE enqode_backend_info gauge
+enqode_backend_info{backend="thread"} 1
+"""
+
+GOLDEN_SUMMARY = (
+    "30/42 served in 9 flushes (mean batch 3.0), "
+    "latency p50 12.50ms p95 37.50ms, "
+    "14.5 evals/sample, "
+    "mean fidelity 0.9875, "
+    "template cache 8 hits / 1 misses, "
+    "27 template binds, "
+    "5 rejected, "
+    "3 shed degraded, "
+    "4 retries, "
+    "1 breaker opens, "
+    "2 deadline expired"
+)
+
+
+def test_metrics_and_summary_match_golden_text():
+    stats = ServiceStats(
+        requests_submitted=42,
+        requests_completed=30,
+        requests_failed=5,
+        requests_pending=2,
+        rejected=5,
+        shed_degraded=3,
+        retries=4,
+        breaker_opens=1,
+        deadline_expired=2,
+        num_flushes=9,
+        mean_batch_size=3.0,
+        p50_latency=0.0125,
+        p95_latency=0.0375,
+        mean_latency=0.015,
+        evals_per_sample=14.5,
+        mean_fidelity=0.9875,
+        template_cache_hits=8,
+        template_cache_misses=1,
+        template_binds=27,
+        per_key_completed={"b": 12, 'we"ird\nkey\\x': 3, "a": 15},
+        predictions_completed=6,
+        backend="thread",
+        flusher_wakeups=11,
+        worker_respawns=2,
+        process_respawns=1,
+        process_respawn_failures=1,
+    )
+    assert stats.to_metrics() == GOLDEN_METRICS
+    assert stats.summary() == GOLDEN_SUMMARY
 
 
 def test_resilience_counters_reach_metrics_and_summary(fitted, cluster_data):
