@@ -5,13 +5,15 @@ paper-adjacent 6- and 8-qubit scales.  Both engines run the *same* SPSA
 trajectory (shared RNG stream, identical perturbation and minibatch
 draws), so this is a pure execution-engine comparison:
 
-* the **reference engine** evolves one embedded state at a time through
-  the eager logical circuit (``VariationalClassifier.expectations_z0``);
-* the **batched engine** compiles the ansatz once into a
-  :class:`~repro.transpile.template.ParametricTemplate`, binds each SPSA
-  step's theta pair as one ``(2, num_parameters)`` matrix through the
-  compact IR, and propagates *all* training states in one stacked
-  trailing-batch-axis walk (:class:`repro.core.batch.VQCObjective`).
+* the **reference engine** (:class:`ReferenceClassifier`, defined
+  here) evolves one embedded state at a time through the eager logical
+  circuit (``VariationalClassifier.expectations_z0``);
+* the **batched engine** (``QMLClassifier``) compiles the ansatz once
+  into a :class:`~repro.transpile.template.ParametricTemplate`, binds
+  each SPSA step's theta pair as one ``(2, num_parameters)`` matrix
+  through the compact IR, and propagates *all* training states in one
+  stacked trailing-batch-axis walk (:class:`repro.core.batch.
+  VQCObjective`).
 
 On top of the end-to-end timings the bench asserts numerical
 equivalence: per-sample margins at the initial theta agree to <= 1e-12,
@@ -35,6 +37,7 @@ import numpy as np
 
 from repro.core import QMLConfig
 from repro.qml import QMLClassifier
+from repro.qml.model import _ReferenceObjective
 
 ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / (
     "BENCH_qml_training.json"
@@ -72,15 +75,30 @@ def _labelled_states(
     return states, labels
 
 
+class ReferenceClassifier(QMLClassifier):
+    """The per-sample baseline: the same SPSA loop and RNG stream, with
+    every state evolved one at a time through the eager circuit."""
+
+    def _objective(self, states, labels):
+        return _ReferenceObjective(
+            self.vqc, states, labels, self.config.margin
+        )
+
+    def decision_values(self, states):
+        return self.vqc.expectations_z0(states, self.theta)
+
+
+ENGINES = {"reference": ReferenceClassifier, "batched": QMLClassifier}
+
+
 def _classifier(num_qubits: int, num_steps: int, engine: str) -> QMLClassifier:
     config = QMLConfig(
         num_qubits=num_qubits,
         num_layers=NUM_LAYERS,
         num_steps=num_steps,
-        engine=engine,
         seed=3,
     )
-    return QMLClassifier(config=config)
+    return ENGINES[engine](config=config)
 
 
 def _check_equivalence(

@@ -44,10 +44,6 @@ workflow end to end on the service API:
    simulate to *bit-identical* statevectors; individual responses also
    export to standard OpenQASM 2/3 text for other toolchains.
 
-(The pre-service ``PerClassEnQode.encode_auto`` path still exists as a
-deprecated shim; the service applies the same nearest-class routing rule
-while batching fine-tunes and reusing the cached transpile template.)
-
 Run:  python examples/deployment_workflow.py
 """
 

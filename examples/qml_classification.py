@@ -9,8 +9,8 @@ End-to-end tour of the batch-native QML stack:
    slotted in as its preprocessing stage — fits cluster templates over
    both classes at once;
 3. a :class:`~repro.qml.QMLClassifier` trains on the whole embedded
-   statevector matrix through the **batched engine**: the VQC ansatz is
-   compiled once into a parametric template and every SPSA step binds a
+   statevector matrix in one batch: the VQC ansatz is compiled once into
+   a parametric template and every SPSA step binds a
    ``(2, num_parameters)`` theta pair + propagates all states in one
    stacked sweep (no per-evaluation circuit objects);
 4. encoder + classifier ship as one versioned

@@ -919,8 +919,7 @@ class VQCObjective:
             raise OptimizationError(
                 "VQCObjective needs a template with a trivial layout "
                 "(no SWAPs, identity placement); use a nearest-neighbor "
-                "classifier ansatz on a linear-chain backend, or the "
-                "sequential reference engine"
+                "classifier ansatz on a linear-chain backend"
             )
         if num_qubits != template.ansatz.num_qubits:
             raise OptimizationError(

@@ -24,23 +24,10 @@ class EnQodeConfig:
         Safety cap for the cluster search.
     offline_restarts, offline_max_iterations:
         L-BFGS budget when training a cluster mean from scratch.
-    offline_batch:
-        Train all cluster means through one stacked multi-restart
-        L-BFGS drive (:meth:`repro.core.batch.BatchLBFGSOptimizer.
-        optimize_restarts`) instead of a sequential per-cluster loop —
-        the Fig. 9(b) offline analogue of the batched online path.
-        Restart draws come from the same RNG stream as the sequential
-        loop, so the two paths start every cluster identically and
-        agree to ~1e-9 on well-covered clusters; on hard multi-basin
-        cluster means individual restarts may descend into different
-        local optima (same mean quality, different per-cluster draws of
-        the restart lottery).  Set ``False`` to fall back to exact
-        per-cluster training (benchmark baseline / escape hatch).
     offline_polish_threshold:
-        Gradient inf-norm above which a cluster left unconverged by a
+        Gradient inf-norm above which a cluster left unconverged by the
         stacked offline run gets an individual warm-started polish run
-        (see :class:`repro.core.batch.BatchLBFGSOptimizer`); only used
-        when ``offline_batch`` is on.
+        (see :class:`repro.core.batch.BatchLBFGSOptimizer`).
     warm_start_cluster_search:
         Seed each step of the growing-``k`` cluster search from the
         previous step's centers (one Lloyd run per step) instead of
@@ -88,7 +75,6 @@ class EnQodeConfig:
     max_clusters: int = 64
     offline_restarts: int = 6
     offline_max_iterations: int = 1500
-    offline_batch: bool = True
     offline_polish_threshold: float = 1e-7
     warm_start_cluster_search: bool = True
     online_max_iterations: int = 80
@@ -159,25 +145,12 @@ class QMLConfig:
     minibatch_size:
         Optional number of samples drawn (without replacement) per SPSA
         step; ``None`` uses the full batch every step.  Minibatch draws
-        come from the same RNG stream as the perturbation directions,
-        so the batched and reference engines walk identical
-        trajectories.
+        come from the same RNG stream as the perturbation directions.
     eval_every:
         Record full-batch loss/accuracy into the training history every
         this many steps (plus the final step).
-    engine:
-        ``"batched"`` (default) trains through
-        :class:`repro.core.batch.VQCObjective` — one cached
-        :class:`~repro.transpile.template.ParametricTemplate` bind per
-        SPSA step evaluating the theta+/theta- pair, all states
-        propagated in one stacked walk.  ``"reference"`` trains through
-        the sequential per-state
-        :class:`repro.qml.vqc.VariationalClassifier` path.  Both draw
-        from one RNG stream; single evaluations agree to ~1e-15 and
-        whole trajectories to ~1e-9 (float non-associativity compounds
-        over steps).
     optimization_level:
-        Transpiler effort for the classifier template (batched engine).
+        Transpiler effort for the classifier template.
     seed:
         Seed for theta initialization and the SPSA stream.
     """
@@ -190,7 +163,6 @@ class QMLConfig:
     spsa_c: float = 0.15
     minibatch_size: "int | None" = None
     eval_every: int = 10
-    engine: str = "batched"
     optimization_level: int = 1
     seed: int = 0
 
@@ -211,11 +183,6 @@ class QMLConfig:
             )
         if self.eval_every < 1:
             raise OptimizationError("eval_every must be >= 1")
-        if self.engine not in ("batched", "reference"):
-            raise OptimizationError(
-                f"engine must be 'batched' or 'reference', "
-                f"got {self.engine!r}"
-            )
         if self.optimization_level not in (0, 1):
             raise OptimizationError(
                 f"optimization_level must be 0 or 1, "

@@ -3,10 +3,9 @@
 Offline (:meth:`EnQodeEncoder.fit`, Sec. III-C): k-means the dataset with
 the 0.95 nearest-cluster-fidelity rule (warm-starting each step of the
 growing-``k`` search from the previous step's centers), then train the
-fixed-shape ansatz against every cluster mean — by default through one
-stacked multi-restart symbolic L-BFGS drive over all means at once (the
-Fig. 9(b) offline fast path; ``config.offline_batch=False`` restores the
-sequential per-cluster loop).
+fixed-shape ansatz against every cluster mean through one stacked
+multi-restart symbolic L-BFGS drive over all means at once (the
+Fig. 9(b) offline overhead).
 
 Online (:meth:`EnQodeEncoder.encode`, Sec. III-D): map a sample to its
 nearest cluster, fine-tune that cluster's parameters for the sample, bind
@@ -48,8 +47,7 @@ from repro.core.clustering import (
     select_num_clusters,
 )
 from repro.core.config import EnQodeConfig
-from repro.core.objective import FidelityObjective
-from repro.core.optimizer import LBFGSOptimizer, OptimizationResult
+from repro.core.optimizer import OptimizationResult
 from repro.core.pipeline import EncodedSample, EncodePipeline
 from repro.core.symbolic import SymbolicState
 from repro.core.transfer import TransferLearner
@@ -206,24 +204,12 @@ class EnQodeEncoder:
         reproduce the historical behaviour exactly — full-length rows,
         normalized here.
 
-        With ``config.offline_batch`` (the default) all cluster means are
-        trained through **one stacked multi-restart L-BFGS drive**
-        (:meth:`repro.core.batch.BatchLBFGSOptimizer.optimize_restarts`)
-        instead of a sequential per-cluster loop: every restart evaluates
-        all still-unconverged clusters in one BLAS pass, restart draws
-        come from the same RNG stream the sequential loop would use, and
-        clusters that reach ``config.target_fidelity`` drop out of later
-        restarts.  On well-covered clusters (tight means, the regime the
-        paper's Sec. IV-A fidelity rule targets) cluster fidelities
-        match the sequential path to ~1e-9 at a fraction of the wall
-        time — the offline analogue of :meth:`encode_batch`, serving
-        the paper's Fig. 9(b) offline-overhead numbers.  On hard
-        multi-basin cluster means (coarse clustering, larger qubit
-        counts) the two paths take different descent trajectories and a
-        losing restart can land in a different local optimum — per-
-        cluster fidelities may then differ in either direction, with
-        the same mean quality; ``offline_batch=False`` restores the
-        exact sequential behaviour.
+        All cluster means train through **one stacked multi-restart
+        L-BFGS drive**
+        (:meth:`repro.core.batch.BatchLBFGSOptimizer.optimize_restarts`):
+        each restart evaluates every unconverged cluster in one BLAS
+        pass, and clusters that reach ``config.target_fidelity`` drop
+        out of later restarts.
         """
         self._guard_preprocessor_kwargs(normalize, pad_with)
         if self.preprocessor is not None:
@@ -263,21 +249,8 @@ class EnQodeEncoder:
         centers = self.kmeans.centers_
 
         with Timer() as training_timer:
-            if self.config.offline_batch:
-                self.cluster_models = self._train_clusters_batched(centers)
-            else:
-                self.cluster_models = self._train_clusters_sequential(centers)
-
-        self._transfer = TransferLearner(
-            self.ansatz,
-            self.symbolic,
-            centers=np.asarray([m.center for m in self.cluster_models]),
-            cluster_thetas=np.asarray([m.theta for m in self.cluster_models]),
-            max_iterations=self.config.online_max_iterations,
-            gtol=self.config.gtol,
-            ftol=self.config.ftol,
-            batch_engine=self.config.online_batch_engine,
-        )
+            models = self._train_clusters_batched(centers)
+        self._install_cluster_models(models)
         self.offline_report = OfflineReport(
             num_clusters=len(self.cluster_models),
             total_time=cluster_timer.elapsed + training_timer.elapsed,
@@ -288,37 +261,6 @@ class EnQodeEncoder:
             cluster_times=[m.training_time for m in self.cluster_models],
         )
         return self.offline_report
-
-    def _train_clusters_sequential(
-        self, centers: np.ndarray
-    ) -> list[ClusterModel]:
-        """The per-cluster training loop (escape hatch / bench baseline)."""
-        optimizer = LBFGSOptimizer(
-            max_iterations=self.config.offline_max_iterations,
-            gtol=self.config.gtol,
-            ftol=self.config.ftol,
-            num_restarts=self.config.offline_restarts,
-            target_fidelity=self.config.target_fidelity,
-            seed=self.config.seed,
-        )
-        models = []
-        for center in centers:
-            unit_center = center / np.linalg.norm(center)
-            objective = FidelityObjective(
-                self.symbolic, self.ansatz, unit_center
-            )
-            with Timer() as one_timer:
-                result = optimizer.optimize(objective)
-            models.append(
-                ClusterModel(
-                    center=unit_center,
-                    theta=result.theta,
-                    fidelity=result.fidelity,
-                    training_time=one_timer.elapsed,
-                    result=result,
-                )
-            )
-        return models
 
     def _train_clusters_batched(
         self, centers: np.ndarray
@@ -380,6 +322,22 @@ class EnQodeEncoder:
                 )
             )
         return models
+
+    def _install_cluster_models(self, models: list[ClusterModel]) -> None:
+        """Adopt ``models`` as this encoder's fitted state: the one
+        place the online transfer learner is built (by :meth:`fit` and
+        by :func:`repro.core.serialization.encoder_from_dict`)."""
+        self.cluster_models = models
+        self._transfer = TransferLearner(
+            self.ansatz,
+            self.symbolic,
+            centers=np.asarray([m.center for m in models]),
+            cluster_thetas=np.asarray([m.theta for m in models]),
+            max_iterations=self.config.online_max_iterations,
+            gtol=self.config.gtol,
+            ftol=self.config.ftol,
+            batch_engine=self.config.online_batch_engine,
+        )
 
     # -- online --------------------------------------------------------------------
 

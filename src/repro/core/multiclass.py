@@ -2,18 +2,11 @@
 
 Sec. IV-A reports offline cost "per dataset and class": EnQode trains an
 independent set of cluster models for every class of a dataset.  This
-facade manages that collection: fit one encoder per class, route encode
-requests, and aggregate the offline reports (what Fig. 9(b) plots).
-
-.. deprecated::
-    The *serving* half of this class (``encode``/``encode_auto``) is a
-    compatibility shim.  Online traffic should go through
-    :class:`repro.service.EncodingService`, which holds the same
-    per-class encoders in an :class:`repro.service.EncoderRegistry`
-    (``EncoderRegistry.from_per_class``), adds micro-batching, and
-    exposes request/response records with latency accounting.  The
-    offline half (``fit``/``total_offline_time``) remains the supported
-    way to train a per-class model collection.
+facade trains that collection (one encoder per class) and aggregates the
+offline reports (what Fig. 9(b) plots).  Serving goes through
+:class:`repro.service.EncodingService`, which adopts the trained
+encoders via ``EncoderRegistry.from_per_class`` and routes samples of
+unknown class with :func:`nearest_class`.
 """
 
 from __future__ import annotations
@@ -24,7 +17,7 @@ import numpy as np
 
 from repro.core.clustering import nearest_center
 from repro.core.config import EnQodeConfig
-from repro.core.encoder import EncodedSample, EnQodeEncoder, OfflineReport
+from repro.core.encoder import EnQodeEncoder, OfflineReport
 from repro.data.preprocess import EmbeddingDataset
 from repro.errors import OptimizationError
 from repro.hardware.backend import Backend
@@ -38,10 +31,8 @@ def nearest_class(
     The natural extension of Sec. III-D's nearest-cluster assignment
     across several trained models: each class is represented by its best
     (closest) cluster center, and ties go to the earliest-registered
-    class.  Shared by :meth:`PerClassEnQode.encode_auto` and the service
-    registry's automatic routing
-    (:meth:`repro.service.EncoderRegistry.route`), so both serving paths
-    make identical routing decisions.
+    class.  The service registry's automatic routing
+    (:meth:`repro.service.EncoderRegistry.route`) applies this rule.
     """
     if not encoders:
         raise OptimizationError("no encoders to route between")
@@ -93,41 +84,6 @@ class PerClassEnQode:
 
     def classes(self) -> list[int]:
         return sorted(self.encoders)
-
-    # -- online (deprecated shims — see repro.service) -----------------------------
-
-    def encoder_for(self, label: int) -> EnQodeEncoder:
-        try:
-            return self.encoders[int(label)]
-        except KeyError:
-            raise OptimizationError(
-                f"no encoder trained for class {label}; "
-                f"available: {self.classes()}"
-            ) from None
-
-    def encode(self, sample: np.ndarray, label: int) -> EncodedSample:
-        """Embed ``sample`` with its class's trained models.
-
-        .. deprecated:: prefer ``EncodingService.submit(sample,
-           key=label)`` for serving traffic.
-        """
-        return self.encoder_for(label).encode(sample)
-
-    def encode_auto(self, sample: np.ndarray) -> EncodedSample:
-        """Embed a sample of unknown class.
-
-        Picks the class via :func:`nearest_class`, then transfer-learns
-        there.
-
-        .. deprecated:: prefer ``EncodingService.submit(sample)`` (no
-           key), which applies the same routing rule through the
-           registry and micro-batches the fine-tune.
-        """
-        if not self.is_fitted:
-            raise OptimizationError("PerClassEnQode.encode_auto before fit")
-        return self.encoders[nearest_class(sample, self.encoders)].encode(
-            sample
-        )
 
     # -- reporting ----------------------------------------------------------------
 

@@ -28,14 +28,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import pathlib
+from typing import Mapping
 
 import numpy as np
 
 from repro.core.config import EnQodeConfig
 from repro.core.encoder import ClusterModel, EnQodeEncoder, OfflineReport
 from repro.core.optimizer import OptimizationResult
-from repro.core.transfer import TransferLearner
 from repro.data.trainable import TrainableEmbedding
 from repro.errors import OptimizationError, SerializationError
 
@@ -143,16 +144,63 @@ def require_section(payload: dict, key: str, what: str = "stored EnQode model"):
         ) from None
 
 
-# Pre-refactor private names (PR 8 made the helpers public so the wire
-# and QASM readers share them); kept so older call sites keep importing.
-_check_schema = check_schema
-_require = require_section
+#: Config fields that earlier builds stored and this build no longer
+#: has (``EnQodeConfig.offline_batch``, ``QMLConfig.engine``).  They
+#: only chose how to *train*, so a loaded model serves the same without
+#: them and :func:`config_from_section` drops them.
+RETIRED_CONFIG_FIELDS = frozenset({"offline_batch", "engine"})
+
+
+#: The stored value types a config field admits, by its default's type.
+_ADMITS = {bool: (bool, np.bool_), int: numbers.Integral, float: numbers.Real}
+
+
+def _has_type_of(value, default) -> bool:
+    if default is None:
+        return True  # optional knobs: ``__post_init__`` checks the value
+    if isinstance(value, (bool, np.bool_)) and not isinstance(default, bool):
+        return False  # JSON true/false is not a number
+    return isinstance(value, _ADMITS.get(type(default), type(default)))
+
+
+def config_from_section(config_cls, section, what: str):
+    """Build the ``config_cls`` dataclass from a stored config section.
+
+    The one config reader of every bundle kind (encoder and
+    classifier).  Fields in :data:`RETIRED_CONFIG_FIELDS` are dropped,
+    so bundles written before a field was retired still load.  A
+    section that is not a mapping, an unknown field, a value of the
+    wrong type and a value the config rejects all raise
+    :class:`~repro.errors.SerializationError`.
+    """
+    if not isinstance(section, Mapping):
+        raise SerializationError(
+            f"{what} config must be a mapping, got {type(section).__name__}"
+        )
+    defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
+    kwargs = {}
+    for key, value in section.items():
+        if key in RETIRED_CONFIG_FIELDS:
+            continue
+        if key not in defaults:
+            raise SerializationError(f"{what} config has unknown field {key!r}")
+        if not _has_type_of(value, defaults[key]):
+            raise SerializationError(
+                f"{what} config field {key!r} has the wrong type: {value!r}"
+            )
+        kwargs[key] = value
+    try:
+        return config_cls(**kwargs)
+    except (OptimizationError, TypeError, ValueError) as exc:
+        raise SerializationError(f"{what} config is invalid: {exc}") from exc
 
 
 def encoder_from_dict(payload: dict, backend) -> EnQodeEncoder:
     """Rebuild a ready-to-encode encoder from :func:`encoder_to_dict`."""
     check_schema(payload)
-    config = EnQodeConfig(**require_section(payload, "config"))
+    config = config_from_section(
+        EnQodeConfig, require_section(payload, "config"), "stored EnQode model"
+    )
     preprocessor = None
     if payload.get("preprocessor") is not None:
         preprocessor = TrainableEmbedding.from_dict(payload["preprocessor"])
@@ -190,17 +238,7 @@ def encoder_from_dict(payload: dict, backend) -> EnQodeEncoder:
         )
     if not models:
         raise SerializationError("stored model has no clusters")
-    encoder.cluster_models = models
-    encoder._transfer = TransferLearner(
-        encoder.ansatz,
-        encoder.symbolic,
-        centers=np.asarray([m.center for m in models]),
-        cluster_thetas=np.asarray([m.theta for m in models]),
-        max_iterations=config.online_max_iterations,
-        gtol=config.gtol,
-        ftol=config.ftol,
-        batch_engine=config.online_batch_engine,
-    )
+    encoder._install_cluster_models(models)
     encoder.offline_report = OfflineReport(
         num_clusters=len(models),
         total_time=0.0,

@@ -6,12 +6,11 @@ stack:
 * :class:`~repro.qml.vqc.VQCAnsatz` / :class:`~repro.qml.vqc.
   VariationalClassifier` — the classifier circuit family in its
   template-compatible (Rz-only-parameters) and eager reference forms;
-* :class:`~repro.qml.model.QMLClassifier` — SPSA training with two
-  engines sharing one loop: the batched engine (one cached
-  :class:`~repro.transpile.template.ParametricTemplate` bind per step,
-  all states propagated in one stacked walk via
-  :class:`repro.core.batch.VQCObjective`) and the per-state reference
-  engine the batched results are tested against (~1e-12);
+* :class:`~repro.qml.model.QMLClassifier` — SPSA training, one cached
+  :class:`~repro.transpile.template.ParametricTemplate` bind per step
+  with all states propagated in one stacked walk via
+  :class:`repro.core.batch.VQCObjective` (density-matrix states take
+  the per-state path);
 * :class:`~repro.qml.serving.QMLModel` — a versioned embed+classify
   bundle (encoder + optional trainable preprocessing map + trained
   head) that registers into the service layer for batched prediction.

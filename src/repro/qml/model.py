@@ -5,27 +5,17 @@ approximation) on pre-embedded states; SPSA needs only two circuit
 evaluations per step regardless of parameter count, which is why it is
 the de-facto optimizer for NISQ-era classifiers.
 
-Two training engines share one SPSA loop (and one RNG stream, so their
-trajectories are comparable step by step):
+The classifier ansatz is compiled **once** into a cached
+:class:`~repro.transpile.template.ParametricTemplate`; each SPSA step
+binds the ``theta + c*delta`` / ``theta - c*delta`` pair through one
+:meth:`~repro.transpile.template.ParametricTemplate.bind_batch_ir` call
+and propagates *all* embedded states through the bound IR in one stacked
+statevector walk (:class:`repro.core.batch.VQCObjective`).  No
+``Gate``/``Instruction`` objects exist anywhere on the training path.
 
-* ``engine="batched"`` (the default) — the classifier ansatz is
-  compiled **once** into a cached
-  :class:`~repro.transpile.template.ParametricTemplate`; each SPSA step
-  binds the ``theta + c*delta`` / ``theta - c*delta`` pair through one
-  :meth:`~repro.transpile.template.ParametricTemplate.bind_batch_ir`
-  call and propagates *all* embedded states through the bound IR in one
-  stacked statevector walk (:class:`repro.core.batch.VQCObjective`).
-  No ``Gate``/``Instruction`` objects exist anywhere on the training
-  path.
-* ``engine="reference"`` — the sequential per-state
-  :class:`~repro.qml.vqc.VariationalClassifier` path (circuit built
-  once per theta, states evolved one at a time).  Always available,
-  obviously correct; the batched engine must match it to ~1e-12 on
-  every margin and loss (``tests/test_qml_batch.py``).
-
-Density-matrix states (the noisy-embedding study) are handled by the
-reference engine only; the model falls back to it transparently when
-they appear.
+Density-matrix states (the noisy-embedding study) cannot ride that walk;
+they take the sequential per-state
+:class:`~repro.qml.vqc.VariationalClassifier` path instead.
 """
 
 from __future__ import annotations
@@ -55,7 +45,8 @@ class TrainingHistory:
 
 class _ReferenceObjective:
     """Sequential per-state objective with the :class:`repro.core.batch.
-    VQCObjective` evaluation API, so one SPSA loop drives either engine."""
+    VQCObjective` evaluation API, so one SPSA loop drives either; used
+    for density-matrix states."""
 
     def __init__(self, vqc, states, labels, margin: float) -> None:
         self.vqc = vqc
@@ -99,7 +90,7 @@ class _ReferenceObjective:
 
 def _state_matrix(states) -> "np.ndarray | None":
     """Stack states into a ``(B, 2^n)`` matrix, or ``None`` if any state
-    is a density matrix (which only the reference engine can evolve)."""
+    is a density matrix (which only the per-state path can evolve)."""
     if isinstance(states, np.ndarray):
         return np.atleast_2d(np.asarray(states, dtype=complex))
     rows = []
@@ -123,24 +114,25 @@ class QMLClassifier:
     Parameters
     ----------
     num_qubits, num_layers, seed:
-        Shorthand for the common knobs; ignored when ``config`` is
-        given.  ``seed`` also accepts a ``numpy`` Generator to share a
-        stream with the caller.
+        Shorthand for the common knobs (defaults 8, 2 and 0), for use
+        without ``config``; passing one beside ``config`` raises
+        :class:`~repro.errors.DataError`.  ``seed`` also accepts a
+        ``numpy`` Generator to share a stream with the caller.
     config:
-        Full :class:`~repro.core.config.QMLConfig`; controls the
-        training engine, SPSA schedule, minibatching, and margin.
+        Full :class:`~repro.core.config.QMLConfig`; controls the SPSA
+        schedule, minibatching, margin and seed.
     backend:
-        Hardware target the batched engine compiles the classifier
-        template against (default: a ``num_qubits``-wide linear Brisbane
-        segment, matching the embedding circuits).  Must route the VQC's
+        Hardware target the classifier template is compiled against
+        (default: a ``num_qubits``-wide linear Brisbane segment,
+        matching the embedding circuits).  Must route the VQC's
         nearest-neighbor CX cascade without SWAPs.
     """
 
     def __init__(
         self,
         num_qubits: "int | None" = None,
-        num_layers: int = 2,
-        seed: "int | np.random.Generator | None" = 0,
+        num_layers: "int | None" = None,
+        seed: "int | np.random.Generator | None" = None,
         *,
         config: "QMLConfig | None" = None,
         backend=None,
@@ -148,13 +140,13 @@ class QMLClassifier:
         if config is None:
             config = QMLConfig(
                 num_qubits=8 if num_qubits is None else num_qubits,
-                num_layers=num_layers,
+                num_layers=2 if num_layers is None else num_layers,
                 seed=seed if isinstance(seed, (int, np.integer)) else 0,
             )
-        elif num_qubits is not None and num_qubits != config.num_qubits:
+        elif any(knob is not None for knob in (num_qubits, num_layers, seed)):
             raise DataError(
-                f"num_qubits={num_qubits} conflicts with "
-                f"config.num_qubits={config.num_qubits}"
+                "pass either config= or the num_qubits/num_layers/seed "
+                "shorthand, not both"
             )
         self.config = config
         self.vqc = VariationalClassifier(config.num_qubits, config.num_layers)
@@ -195,18 +187,18 @@ class QMLClassifier:
             )
 
     def _objective(self, states, labels: np.ndarray):
-        """The configured engine's objective over this dataset.
+        """The training objective over this dataset.
 
-        The batched engine needs a pure statevector stack; density-
-        matrix inputs transparently fall back to the reference engine.
+        A pure statevector stack gets the template-bound
+        :class:`~repro.core.batch.VQCObjective`; density-matrix inputs
+        fall back to the per-state path.
         """
-        if self.config.engine == "batched":
-            matrix = _state_matrix(states)
-            if matrix is not None:
-                return VQCObjective(
-                    self.template(), matrix, labels, self.config.margin
-                )
-        return _ReferenceObjective(self.vqc, states, labels, self.config.margin)
+        matrix = _state_matrix(states)
+        if matrix is None:
+            return _ReferenceObjective(
+                self.vqc, states, labels, self.config.margin
+            )
+        return VQCObjective(self.template(), matrix, labels, self.config.margin)
 
     # -- loss -----------------------------------------------------------------------
 
@@ -237,12 +229,10 @@ class QMLClassifier:
         """SPSA minimization of the hinge loss.
 
         Each step evaluates the loss at ``theta + c_k * delta`` and
-        ``theta - c_k * delta`` — under the batched engine that is one
-        template bind and two stacked propagations, however large the
-        dataset.  ``num_steps``/``a``/``c`` default to the config's
-        schedule.  Both engines draw perturbations (and minibatch
-        indices, when configured) from the same RNG stream in the same
-        order, so their trajectories are directly comparable.
+        ``theta - c_k * delta`` — one template bind and two stacked
+        propagations, however large the dataset.  ``num_steps``/``a``/
+        ``c`` default to the config's schedule.  Perturbations and
+        minibatch indices come from one RNG stream in a fixed order.
         """
         labels = np.asarray(labels)
         self._validate(states, labels)
@@ -279,19 +269,13 @@ class QMLClassifier:
 
     def decision_values(self, states) -> np.ndarray:
         """<Z_0> for each state under the trained theta (sign = class)."""
-        if self.config.engine == "batched":
-            matrix = _state_matrix(states)
-            if matrix is not None and matrix.size:
-                bound = self.template().bind_batch_ir(
-                    np.atleast_2d(self.theta)
-                )
-                evolved = bound.evolve_states_row(0, matrix)
-                probs = np.abs(evolved) ** 2
-                half = probs.shape[1] // 2
-                return probs[:, :half].sum(axis=1) - probs[:, half:].sum(
-                    axis=1
-                )
-        return self.vqc.expectations_z0(states, self.theta)
+        matrix = _state_matrix(states)
+        if matrix is None or not matrix.size:
+            return self.vqc.expectations_z0(states, self.theta)
+        bound = self.template().bind_batch_ir(np.atleast_2d(self.theta))
+        probs = np.abs(bound.evolve_states_row(0, matrix)) ** 2
+        half = probs.shape[1] // 2
+        return probs[:, :half].sum(axis=1) - probs[:, half:].sum(axis=1)
 
     def predict(self, states) -> np.ndarray:
         """Predicted labels in {0, 1}."""

@@ -33,9 +33,10 @@ from repro.core.encoder import EnQodeEncoder
 from repro.core.serialization import (
     SCHEMA_VERSION,
     check_schema,
-    require_section,
+    config_from_section,
     encoder_from_dict,
     encoder_to_dict,
+    require_section,
 )
 from repro.errors import OptimizationError, SerializationError
 from repro.qml.model import QMLClassifier
@@ -111,15 +112,6 @@ class QMLModel:
             return np.empty(0, dtype=int)
         return (self.decision_values(samples) < 0.0).astype(int)
 
-    def predict_reference(self, samples: np.ndarray) -> np.ndarray:
-        """Labels via the sequential per-state reference head (the
-        parity check the batched path is tested against)."""
-        states = self.embed(samples)
-        values = self.classifier.vqc.expectations_z0(
-            states, self.classifier.theta
-        )
-        return (values < 0.0).astype(int)
-
     def accuracy(self, samples: np.ndarray, labels: np.ndarray) -> float:
         labels = np.asarray(labels)
         return float(np.mean(self.predict(samples) == labels))
@@ -150,7 +142,9 @@ class QMLModel:
             )
         encoder = encoder_from_dict(require_section(payload, "encoder"), backend)
         section = require_section(payload, "classifier")
-        config = QMLConfig(**require_section(section, "config"))
+        config = config_from_section(
+            QMLConfig, require_section(section, "config"), "stored classifier"
+        )
         classifier = QMLClassifier(config=config, backend=backend)
         theta = np.asarray(require_section(section, "theta"), dtype=float)
         if theta.size != classifier.vqc.num_parameters:

@@ -9,11 +9,9 @@ routes every request to one of them.  Bundles persisted by
 a version-mismatched bundle is rejected at load time with a
 :class:`~repro.errors.SerializationError` (never mid-request).
 
-This absorbs the serving half of
-:class:`repro.core.multiclass.PerClassEnQode`: automatic routing uses
-the same :func:`repro.core.multiclass.nearest_class` rule, and
-:meth:`EncoderRegistry.from_per_class` adopts an already-trained
-per-class collection wholesale.
+Automatic routing applies :func:`repro.core.multiclass.nearest_class`,
+and :meth:`EncoderRegistry.from_per_class` adopts a per-class collection
+trained by :class:`repro.core.multiclass.PerClassEnQode` wholesale.
 """
 
 from __future__ import annotations
@@ -33,8 +31,7 @@ class EncoderRegistry:
     """Fitted encoders keyed by class label / model id.
 
     Keys keep registration order, which makes automatic routing
-    deterministic (ties go to the earliest-registered encoder, exactly
-    like ``PerClassEnQode.encode_auto`` always has).
+    deterministic (ties go to the earliest-registered encoder).
     """
 
     def __init__(self) -> None:

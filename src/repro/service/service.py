@@ -441,7 +441,7 @@ class EncodingService:
         """Queue one sample; returns a ticket that fills on flush.
 
         Without ``key`` the sample is routed to the registry's nearest
-        encoder (the ``PerClassEnQode.encode_auto`` rule).  Validation
+        encoder (:func:`repro.core.multiclass.nearest_class`).  Validation
         happens here — a malformed sample fails its own ``submit`` call
         instead of poisoning a whole micro-batch later.
 

@@ -1,11 +1,17 @@
-"""Unit tests for per-class EnQode training and its auto-routing."""
+"""Unit tests for per-class EnQode training and its auto-routing.
+
+Samples are served the way the service serves them: routed through
+``EncoderRegistry.from_per_class(model)`` (or :func:`nearest_class`),
+then encoded by the routed class's encoder.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core import EnQodeConfig, PerClassEnQode, nearest_class
 from repro.data import prepare_embedding_dataset
-from repro.errors import OptimizationError
+from repro.errors import OptimizationError, ServiceError
+from repro.service import EncoderRegistry
 
 
 @pytest.fixture(scope="module")
@@ -51,22 +57,23 @@ def test_fit_trains_every_class(fitted):
 def test_encode_with_label(fitted, toy_dataset):
     model, _ = fitted
     sample = toy_dataset.class_slice(0)[0]
-    encoded = model.encode(sample, 0)
+    encoded = EncoderRegistry.from_per_class(model).get(0).encode(sample)
     assert 0 < encoded.ideal_fidelity <= 1
 
 
-def test_encode_unknown_label_rejected(fitted, toy_dataset):
+def test_encode_unknown_label_rejected(fitted):
     model, _ = fitted
-    with pytest.raises(OptimizationError):
-        model.encode(toy_dataset.amplitudes[0], 9)
+    with pytest.raises(ServiceError):
+        EncoderRegistry.from_per_class(model).get(9)
 
 
 def test_encode_auto_routes_to_right_class(fitted, toy_dataset):
     model, _ = fitted
+    registry = EncoderRegistry.from_per_class(model)
     for label in (0, 1):
         sample = toy_dataset.class_slice(label)[1]
-        auto = model.encode_auto(sample)
-        manual = model.encode(sample, label)
+        auto = registry.get(registry.route(sample)).encode(sample)
+        manual = model.encoders[label].encode(sample)
         # Auto-routing should reach (at least) the labelled fidelity.
         assert auto.ideal_fidelity >= manual.ideal_fidelity - 0.05
 
@@ -80,6 +87,7 @@ def test_encode_auto_selects_best_overlap_class(fitted, toy_dataset):
     deployment workflow relies on (fidelity is the overlap squared).
     """
     model, _ = fitted
+    registry = EncoderRegistry.from_per_class(model)
     for label in (0, 1):
         sample = toy_dataset.class_slice(label)[2]
         unit = sample / np.linalg.norm(sample)
@@ -92,8 +100,8 @@ def test_encode_auto_selects_best_overlap_class(fitted, toy_dataset):
         }
         routed = nearest_class(sample, model.encoders)
         assert per_class_best[routed] == max(per_class_best.values())
-        # encode_auto lands on that same class's models.
-        encoded = model.encode_auto(sample)
+        # The registry routes to that same class's models.
+        encoded = registry.get(registry.route(sample)).encode(sample)
         routed_encoder = model.encoders[routed]
         assert encoded.cluster_index < len(routed_encoder.cluster_models)
         manual = routed_encoder.encode(sample)
@@ -122,9 +130,7 @@ def test_nearest_class_input_validation(fitted):
 
 
 def test_encode_auto_matches_service_registry_routing(fitted, toy_dataset):
-    """PerClassEnQode and the service registry make identical decisions."""
-    from repro.service import EncoderRegistry
-
+    """nearest_class and the service registry make identical decisions."""
     model, _ = fitted
     registry = EncoderRegistry.from_per_class(model)
     assert registry.keys() == list(model.encoders)
@@ -135,8 +141,8 @@ def test_encode_auto_matches_service_registry_routing(fitted, toy_dataset):
 
 def test_encode_auto_before_fit_rejected(segment4):
     model = PerClassEnQode(segment4, EnQodeConfig(num_qubits=4))
-    with pytest.raises(OptimizationError):
-        model.encode_auto(np.ones(16))
+    with pytest.raises(ServiceError):
+        EncoderRegistry.from_per_class(model).route(np.ones(16))
 
 
 def test_total_offline_time(fitted):

@@ -1,11 +1,11 @@
 """Tests for the batched offline training engine (stacked multi-restart).
 
-Mirrors ``tests/test_batch.py`` for the offline stage: batched-vs-
-sequential equivalence of ``EnQodeEncoder.fit`` (same clustering, same
-RNG-stream restart draws, cluster fidelities to 1e-9), the multi-restart
-driver's early-stop/active-masking semantics, the per-row L-BFGS drive,
-per-cluster cost attribution into ``OfflineReport``, and the offline
-zero-vector bugfix.
+Mirrors ``tests/test_batch.py`` for the offline stage: equivalence of
+``EnQodeEncoder.fit`` with a sequential per-cluster reference loop (same
+clustering, same RNG-stream restart draws, cluster fidelities to 1e-9),
+the multi-restart driver's early-stop/active-masking semantics, the
+per-row L-BFGS drive, per-cluster cost attribution into
+``OfflineReport``, and the offline zero-vector bugfix.
 """
 
 import numpy as np
@@ -21,7 +21,44 @@ from repro.core import (
     LBFGSOptimizer,
     SymbolicState,
 )
+from repro.core.encoder import ClusterModel
 from repro.errors import OptimizationError
+
+
+class SequentialFitEncoder(EnQodeEncoder):
+    """Reference: trains the cluster means one at a time.
+
+    One ``LBFGSOptimizer`` (seeded from the config) runs over every
+    center in turn, so its restart draws come from the RNG stream the
+    stacked drive reproduces.
+    """
+
+    def _train_clusters_batched(self, centers):
+        optimizer = LBFGSOptimizer(
+            max_iterations=self.config.offline_max_iterations,
+            gtol=self.config.gtol,
+            ftol=self.config.ftol,
+            num_restarts=self.config.offline_restarts,
+            target_fidelity=self.config.target_fidelity,
+            seed=self.config.seed,
+        )
+        models = []
+        for center in centers:
+            unit_center = center / np.linalg.norm(center)
+            objective = FidelityObjective(
+                self.symbolic, self.ansatz, unit_center
+            )
+            result = optimizer.optimize(objective)
+            models.append(
+                ClusterModel(
+                    center=unit_center,
+                    theta=result.theta,
+                    fidelity=result.fidelity,
+                    training_time=result.time,
+                    result=result,
+                )
+            )
+        return models
 
 
 @pytest.fixture(scope="module")
@@ -67,12 +104,10 @@ def offline_config():
 
 @pytest.fixture(scope="module")
 def fitted_pair(segment4, blob_data, offline_config):
-    batched = EnQodeEncoder(
-        segment4, EnQodeConfig(**offline_config, offline_batch=True)
-    )
+    batched = EnQodeEncoder(segment4, EnQodeConfig(**offline_config))
     batched_report = batched.fit(blob_data)
-    sequential = EnQodeEncoder(
-        segment4, EnQodeConfig(**offline_config, offline_batch=False)
+    sequential = SequentialFitEncoder(
+        segment4, EnQodeConfig(**offline_config)
     )
     sequential_report = sequential.fit(blob_data)
     return batched, batched_report, sequential, sequential_report

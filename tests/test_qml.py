@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import QMLConfig
 from repro.errors import DataError, OptimizationError
 from repro.qml import QMLClassifier, VariationalClassifier
 from repro.quantum import DensityMatrix, Statevector
@@ -155,3 +156,31 @@ def test_density_matrix_states_fall_back_to_reference_engine():
     # share the RNG stream, so trajectories agree to float noise.
     np.testing.assert_allclose(model.theta, pure.theta, atol=1e-9)
     assert model.accuracy(rhos, labels) == pure.accuracy(states, labels)
+
+
+def test_config_seed_drives_initial_theta():
+    """With config= the classifier seeds from config.seed; without it
+    the shorthand defaults (8 qubits, 2 layers, seed 0) are unchanged."""
+    seeded = QMLClassifier(config=QMLConfig(num_qubits=3, seed=5))
+    np.testing.assert_array_equal(
+        seeded.theta, QMLClassifier(3, seed=5).theta
+    )
+    default = QMLClassifier(config=QMLConfig(num_qubits=3))
+    assert not np.array_equal(seeded.theta, default.theta)
+    np.testing.assert_array_equal(QMLClassifier(3).theta, default.theta)
+    assert QMLClassifier().config == QMLConfig()
+
+
+@pytest.mark.parametrize(
+    "knob",
+    [
+        {"num_qubits": 3},
+        {"num_layers": 2},
+        {"seed": 1},
+        {"seed": np.random.default_rng(1)},
+    ],
+    ids=["num_qubits", "num_layers", "seed", "generator"],
+)
+def test_shorthand_knob_beside_config_rejected(knob):
+    with pytest.raises(DataError, match="config="):
+        QMLClassifier(config=QMLConfig(num_qubits=3), **knob)

@@ -5,7 +5,8 @@ bind + one stacked statevector propagation through
 :class:`repro.core.batch.VQCObjective`) must reproduce the sequential
 per-state reference (:class:`repro.qml.vqc.VariationalClassifier`) to
 well under 1e-12 on every margin, loss, and prediction — and the whole
-SPSA trajectory when both engines share one RNG stream.
+SPSA trajectory of :class:`ReferenceClassifier`, which shares the RNG
+stream.
 """
 
 import json
@@ -32,10 +33,25 @@ from repro.qml import (
     load_qml_model,
     save_qml_model,
 )
+from repro.qml.model import _ReferenceObjective
 from repro.qml.vqc import VariationalClassifier
 from repro.service import EncodingService
 from repro.service.registry import EncoderRegistry
 from repro.transpile.template import transpile_template
+
+
+class ReferenceClassifier(QMLClassifier):
+    """The classifier trained and evaluated one state at a time through
+    the eager :class:`VariationalClassifier` circuit (same SPSA loop,
+    same RNG stream)."""
+
+    def _objective(self, states, labels):
+        return _ReferenceObjective(
+            self.vqc, states, labels, self.config.margin
+        )
+
+    def decision_values(self, states):
+        return self.vqc.expectations_z0(states, self.theta)
 
 
 def _random_states(rng, num_qubits, batch):
@@ -167,8 +183,9 @@ def test_objective_validation(rng):
     [(2, 1, 6, None), (3, 2, 10, None), (4, 1, 8, 3)],
 )
 def test_spsa_trajectories_match(rng, num_qubits, num_layers, batch, minibatch):
-    """Both engines share one RNG stream, so whole training runs agree
-    step for step (1e-9 allows float non-associativity to compound)."""
+    """Batched and reference runs share one RNG stream, so whole
+    training runs agree step for step (1e-9 allows float
+    non-associativity to compound)."""
     states = _random_states(rng, num_qubits, batch)
     labels = rng.integers(0, 2, size=batch)
     kwargs = dict(
@@ -179,7 +196,7 @@ def test_spsa_trajectories_match(rng, num_qubits, num_layers, batch, minibatch):
         minibatch_size=minibatch,
     )
     batched = QMLClassifier(config=QMLConfig(**kwargs))
-    reference = QMLClassifier(config=QMLConfig(engine="reference", **kwargs))
+    reference = ReferenceClassifier(config=QMLConfig(**kwargs))
     history_b = batched.fit(states, labels)
     history_r = reference.fit(states, labels)
     assert np.abs(batched.theta - reference.theta).max() <= 1e-9
@@ -306,8 +323,11 @@ def test_model_bundle_roundtrip_identical_predictions(rng, tmp_path):
     np.testing.assert_array_equal(
         model.predict(samples), reloaded.predict(samples)
     )
+    values = reloaded.classifier.vqc.expectations_z0(
+        reloaded.embed(samples), reloaded.classifier.theta
+    )
     np.testing.assert_array_equal(
-        reloaded.predict(samples), reloaded.predict_reference(samples)
+        reloaded.predict(samples), (values < 0.0).astype(int)
     )
     assert registry.model("pair") is reloaded
     # The bundle's encoder occupies the same encoder slot.
@@ -328,6 +348,54 @@ def test_model_bundle_schema_mismatch_rejected(rng, tmp_path):
     save_encoder(model.encoder, path)
     with pytest.raises(SerializationError):
         load_qml_model(path, backend)
+
+
+#: Malformed classifier ``config`` sections: each must fail the load
+#: with a SerializationError (never a TypeError or a bare
+#: OptimizationError).
+MALFORMED_CONFIGS = {
+    "unknown-field": lambda config: {**config, "bogus_knob": 1},
+    "string-for-int": lambda config: {**config, "num_qubits": "four"},
+    "float-for-int": lambda config: {**config, "num_layers": 2.5},
+    "bool-for-float": lambda config: {**config, "margin": True},
+    "string-for-optional": lambda config: {**config, "minibatch_size": "x"},
+    "out-of-range": lambda config: {**config, "margin": -1.0},
+    "list": lambda config: list(config.items()),
+    "null": lambda config: None,
+}
+
+
+@pytest.mark.parametrize("section", ["classifier", "encoder"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_model_bundle_malformed_config_rejected(rng, section, case):
+    model, _, _, backend = _trained_model(rng)
+    payload = model.to_dict()
+    payload[section]["config"] = MALFORMED_CONFIGS[case](
+        payload[section]["config"]
+    )
+    with pytest.raises(SerializationError):
+        QMLModel.from_dict(payload, backend)
+
+
+@pytest.mark.parametrize("engine", ["reference", "batched"])
+def test_model_bundle_with_retired_engine_serves_identically(rng, engine):
+    """Bundles written while ``QMLConfig.engine`` existed still load, and
+    the reloaded model serves bit for bit what a current bundle does."""
+    model, samples, _, backend = _trained_model(rng)
+    payload = model.to_dict()
+    assert "engine" not in payload["classifier"]["config"]
+    legacy = json.loads(json.dumps(payload))
+    legacy["classifier"]["config"]["engine"] = engine
+    legacy["encoder"]["config"]["offline_batch"] = engine == "batched"
+    current = QMLModel.from_dict(payload, backend)
+    restored = QMLModel.from_dict(legacy, backend)
+    assert restored.classifier.config == model.classifier.config
+    np.testing.assert_array_equal(
+        restored.decision_values(samples), current.decision_values(samples)
+    )
+    np.testing.assert_array_equal(
+        restored.predict(samples), model.predict(samples)
+    )
 
 
 def test_service_predict_matches_model(rng):

@@ -13,7 +13,7 @@ from repro.core import (
     load_encoder,
     save_encoder,
 )
-from repro.errors import OptimizationError
+from repro.errors import OptimizationError, SerializationError
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +159,52 @@ def test_empty_clusters_rejected(fitted, segment4):
     payload["clusters"] = []
     with pytest.raises(OptimizationError):
         encoder_from_dict(payload, segment4)
+
+
+#: Malformed ``config`` sections: each must fail the load with a
+#: SerializationError (never a TypeError or a bare OptimizationError).
+MALFORMED_CONFIGS = {
+    "unknown-field": lambda config: {**config, "bogus_knob": 1},
+    "string-for-int": lambda config: {**config, "num_qubits": "four"},
+    "float-for-int": lambda config: {**config, "num_qubits": 4.5},
+    "bool-for-int": lambda config: {**config, "num_layers": True},
+    "string-for-bool": lambda config: {
+        **config,
+        "alternate_orientation": "no",
+    },
+    "out-of-range": lambda config: {**config, "num_layers": 0},
+    "list": lambda config: list(config.items()),
+    "null": lambda config: None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_raises_serialization_error(fitted, segment4, case):
+    encoder, _ = fitted
+    payload = encoder_to_dict(encoder)
+    payload["config"] = MALFORMED_CONFIGS[case](payload["config"])
+    with pytest.raises(SerializationError):
+        encoder_from_dict(payload, segment4)
+
+
+@pytest.mark.parametrize("offline_batch", [False, True])
+def test_bundle_with_retired_field_serves_identically(
+    fitted, segment4, offline_batch
+):
+    """Bundles written while ``offline_batch`` existed still load, and
+    the reloaded encoder serves bit for bit what a current bundle does."""
+    encoder, samples = fitted
+    payload = encoder_to_dict(encoder)
+    assert "offline_batch" not in payload["config"]
+    legacy = json.loads(json.dumps(payload))
+    legacy["config"]["offline_batch"] = offline_batch
+    current = encoder_from_dict(payload, segment4)
+    restored = encoder_from_dict(legacy, segment4)
+    assert restored.config == encoder.config
+    expected = current.encode_batch(samples[:4]) + [current.encode(samples[5])]
+    served = restored.encode_batch(samples[:4]) + [restored.encode(samples[5])]
+    for want, got in zip(expected, served):
+        assert got.cluster_index == want.cluster_index
+        np.testing.assert_array_equal(got.theta, want.theta)
+        assert got.ideal_fidelity == want.ideal_fidelity
+        assert list(got.circuit) == list(want.circuit)
