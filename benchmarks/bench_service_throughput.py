@@ -16,9 +16,10 @@ Three serving claims are measured and gated here:
   gaps between bursts, far below the batch window, under a
   ``max_delay`` latency deadline.  The sync backend only flushes when
   some call arrives, so each burst waits a whole gap for the *next*
-  burst's submit (p95 ~ gap); the threaded backend's flusher wakes on
-  the deadline itself and must hold p95 near ``max_delay`` with zero
-  follow-up traffic.
+  burst's submit (p95 ~ gap); the threaded backend needs no follow-up
+  traffic: an idle worker takes each burst at once, ``max_delay`` only
+  bounds the wait behind a busy pool, and p95 must stay within the
+  deadline plus one small-batch flush.
 
 * **Overload shedding** (the PR-9 tentpole): traffic offered at 4x the
   measured capacity against a bounded admission queue

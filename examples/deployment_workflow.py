@@ -19,11 +19,12 @@ workflow end to end on the service API:
    execution backend: ``start()`` the background flusher + worker pool,
    submit from several producer threads at once, collect responses with
    ``ticket.result(timeout=...)``, and ``stop()`` cleanly.  The
-   difference from step 2: the ``max_delay`` latency deadline fires on
-   an *idle* queue (the flusher sleeps until exactly the deadline — no
-   follow-up traffic or polling needed), and different classes' flushes
-   run concurrently while each class's requests still complete in
-   submission order (one in-flight flush per key);
+   difference from step 2: nothing waits for follow-up traffic or
+   polling — an idle worker takes a queued class at once, and the
+   ``max_delay`` deadline bounds the wait of a request whose workers
+   are all busy — and different classes' flushes run concurrently
+   while each class's requests still complete in submission order (one
+   in-flight flush per key);
 4. resilient service — the same thread backend with the PR-9 hardening
    knobs turned on: a bounded admission queue that sheds over-budget
    traffic to a finetune-skipped degraded path, transient flush faults
@@ -137,8 +138,9 @@ def online_service(backend, dataset, model_dir: pathlib.Path) -> None:
 
 def async_online_service(backend, dataset, model_dir: pathlib.Path) -> None:
     """Serve concurrent producers through the threaded backend."""
-    # backend="thread" adds a daemon flusher (wakes on the earliest
-    # pending max_delay deadline and on full queues) and a small worker
+    # backend="thread" adds a daemon flusher (hands a queued class to an
+    # idle worker at once, and cuts a batch at its max_delay deadline
+    # or on a full queue while every worker is busy) and a small worker
     # pool (flushes for different classes run concurrently).  The
     # context manager start()s the threads and stop()s them with a full
     # drain on exit; submit() is safe from any thread.
@@ -169,10 +171,11 @@ def async_online_service(backend, dataset, model_dir: pathlib.Path) -> None:
             thread.start()
         for thread in producers:
             thread.join()
-        # A trickle never strands: even with no further traffic the
-        # flusher serves every queue within max_delay.  result() blocks
-        # on the ticket's event with a timeout instead of flushing
-        # inline — the worker pool does the encoding.
+        # A trickle never strands: even with no further traffic every
+        # queue is served, at once by an idle worker, or cut into a
+        # batch at its max_delay deadline while the pool is busy.
+        # result() blocks on the ticket's event with a timeout instead
+        # of flushing inline — the worker pool does the encoding.
         for label, owned in tickets.items():
             latencies = [
                 ticket.result(timeout=5.0).latency * 1e3 for ticket in owned

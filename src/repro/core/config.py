@@ -209,10 +209,12 @@ class ServiceConfig:
         default) flushes inline from ``submit``/``poll``/``flush`` calls
         — deterministic and single-threaded, but the ``max_delay``
         deadline only fires when some call happens to arrive.
-        ``"thread"`` runs a daemon flusher thread that wakes on the
-        earliest pending deadline and on full-queue events, plus a
-        worker pool of ``workers`` threads executing flushes for
-        different keys concurrently; the service must be
+        ``"thread"`` runs a daemon flusher thread plus a worker pool of
+        ``workers`` threads executing flushes for different keys
+        concurrently; with ``max_delay`` set, dispatch is
+        work-conserving (an idle worker takes a queued key at once),
+        and the flusher also wakes on the earliest pending deadline
+        and on full-queue events; the service must be
         ``start()``-ed before submitting and ``stop()``-ed when done.
         ``"process"`` keeps the same flusher/worker plumbing but
         executes each flush in one of ``workers`` *worker processes*
@@ -239,8 +241,13 @@ class ServiceConfig:
         Optional latency deadline in seconds: a queue whose oldest
         request has waited this long is flushed — at the next
         ``submit``/``poll`` under the sync backend, by the background
-        flusher (without requiring traffic) under the thread backend.
-        ``None`` disables the deadline.
+        flusher (without requiring traffic) under the thread and
+        process backends.  There it is an upper bound, not a hold:
+        while fewer than ``workers`` flushes are queued or running, a
+        queued key is dispatched at once, so only a request whose
+        workers are all busy waits for the deadline.  ``None`` disables
+        the deadline and leaves flushing size-only (plus explicit
+        ``flush``/``result`` calls).
     max_pending_per_key:
         Admission control: the most requests one key's queue may hold.
         A ``submit`` that would exceed it is handled per

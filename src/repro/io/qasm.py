@@ -438,9 +438,9 @@ class _QasmReader:
         params: list[float] = []
         if self._accept("op", "("):
             if not self._accept("op", ")"):
-                params.append(self._expression(env))
+                params.append(self._parameter(env))
                 while self._accept("op", ","):
-                    params.append(self._expression(env))
+                    params.append(self._parameter(env))
                 self._expect("op", ")")
         operands = [self._operand(qubit_env)]
         while self._accept("op", ","):
@@ -551,6 +551,24 @@ class _QasmReader:
 
     # -- constant expressions ------------------------------------------------
 
+    def _parameter(self, env) -> float:
+        """One gate parameter: a constant expression that must evaluate
+        to a finite angle.  Overflow, division by zero and math-domain
+        errors (``1/0``, ``exp(1000)``, ``ln(0)``) and non-finite results
+        (``1e999``, ``1e999-1e999``) are malformed input, not angles."""
+        try:
+            value = self._expression(env)
+        except (ArithmeticError, ValueError) as exc:
+            raise SerializationError(
+                f"QASM gate parameter does not evaluate: {exc}"
+            ) from None
+        if not math.isfinite(value):
+            raise SerializationError(
+                f"QASM gate parameter evaluates to {value!r}, not a "
+                "finite angle"
+            )
+        return value
+
     def _expression(self, env) -> float:
         value = self._term(env)
         while True:
@@ -581,7 +599,9 @@ class _QasmReader:
     def _power(self, env) -> float:
         value = self._atom(env)
         if self._accept("op", "^") or self._accept("op", "**"):
-            return value ** self._factor(env)
+            # math.pow stays real: a negative base to a fractional
+            # power raises instead of returning a complex number.
+            return math.pow(value, self._factor(env))
         return value
 
     def _atom(self, env) -> float:

@@ -16,10 +16,12 @@ package is that serving surface:
   (p50/p95 latency, evals/sample, template-cache hits);
 * :class:`ThreadBackend` — the ``backend="thread"`` execution engine
   (selected via :class:`repro.core.config.ServiceConfig`): a daemon
-  flusher thread that honors the ``max_delay`` deadline with zero
-  follow-up traffic plus a worker pool flushing different keys
-  concurrently, with one flush in flight per key so responses stay
-  instruction-identical to the synchronous path;
+  flusher thread plus a worker pool flushing different keys
+  concurrently.  With ``max_delay`` set, an idle worker takes a queued
+  key at once and the deadline bounds the wait of a request whose
+  workers are all busy, with zero follow-up traffic needed.  One flush
+  stays in flight per key, so responses stay instruction-identical to
+  the synchronous path;
 * :class:`ProcessBackend` — the ``backend="process"`` engine: the same
   control plane over a fleet of worker *processes* holding
   float-exact encoder replicas, keys sharded by stable hash, flush

@@ -5,10 +5,16 @@ inside ``submit``/``poll`` calls, so with idle traffic the ``max_delay``
 deadline is a promise nobody keeps.  :class:`ThreadBackend` makes the
 service honor it unconditionally:
 
+* dispatch is **work-conserving** whenever ``max_delay`` is set: while
+  fewer than ``workers`` flushes are queued or running, the flusher
+  hands a queued key to the pool at once, so ``max_delay`` is an upper
+  bound on queue wait, not a hold (``max_delay=None`` stays
+  size-triggered);
 * a daemon **flusher** thread sleeps until the earliest pending
   deadline (``MicroBatcher.next_deadline``) or until woken by a
-  full-queue / forced-flush / shutdown event — it never polls on a
-  fixed interval, so an idle service costs zero CPU;
+  new-request / full-queue / forced-flush / completion / shutdown
+  event — it never polls on a fixed interval, so an idle service costs
+  zero CPU;
 * a small **worker pool** executes the dispatched flushes, so slow
   fine-tunes for one registry key don't head-of-line-block another
   key's traffic.
@@ -438,12 +444,19 @@ class ThreadBackend:
         for key in list(batcher.pending_keys()):
             if key in self._inflight_keys:
                 continue
+            # The last clause makes dispatch work-conserving: while a
+            # deadline is set, an idle worker takes the key now.
             triggered = (
                 batcher.pending(key) >= batcher.max_batch
                 or key in due
                 or key in self._forced
                 or self._drain_waiters > 0
                 or self._state == _STOPPING
+                or (
+                    batcher.max_delay is not None
+                    and len(self._running) + len(self._tasks)
+                    < self.num_workers
+                )
             )
             if not triggered:
                 continue

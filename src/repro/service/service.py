@@ -22,8 +22,9 @@ package provides:
   (:class:`~repro.core.config.ServiceConfig`): ``"sync"`` flushes
   inline from ``submit``/``poll`` calls, ``"thread"`` runs the
   :class:`~repro.service.async_service.ThreadBackend` — a background
-  flusher that honors ``max_delay`` without requiring traffic plus a
-  worker pool flushing different keys concurrently — and ``"process"``
+  flusher that hands a queued key to an idle worker at once and
+  honors ``max_delay`` without requiring traffic, plus a worker pool
+  flushing different keys concurrently — and ``"process"``
   runs the same control plane over the
   :class:`~repro.service.process_backend.ProcessBackend` fleet of
   worker processes.

@@ -8,7 +8,9 @@ pipeline), responses are sample-for-sample instruction-identical to a
 synchronous ``encode_batch`` replay of the same per-key traffic, errors
 stay confined to the failing key's tickets, lifecycle
 (``start``/``stop``/``drain``) is clean under load, and the per-flush
-stats application is atomic when flushes race.
+stats application is atomic when flushes race.  With ``max_delay`` set,
+dispatch is work-conserving: an idle pool serves a request at once, and
+the deadline cuts a batch only while every worker is busy.
 """
 
 import threading
@@ -86,6 +88,17 @@ class ManualClock:
 
     def __call__(self) -> float:
         return self.now
+
+
+def _wait_until(predicate, seconds: float = 10.0) -> bool:
+    """Poll ``predicate`` in real time.  Under a fake clock that never
+    reaches a ticket's timeout, this is the bounded wait."""
+    limit = time.monotonic() + seconds
+    while not predicate():
+        if time.monotonic() > limit:
+            return False
+        time.sleep(0.002)
+    return True
 
 
 def _assert_instruction_identical(response, reference):
@@ -339,19 +352,22 @@ def test_aliased_key_past_deadline_does_not_spin_flusher(
 
 
 def test_deadline_fires_with_zero_followup_traffic(fitted, cluster_data):
-    """The PR's reason to exist: an idle queue still meets max_delay."""
+    """An idle queue is served within max_delay with no follow-up
+    traffic, and an idle pool does not hold it until the deadline."""
     with EncodingService(
-        max_batch=100, max_delay=0.05, backend="thread"
+        max_batch=100, max_delay=1.0, backend="thread"
     ) as service:
         service.register("a", fitted)
         start = time.monotonic()
         ticket = service.submit(cluster_data[0], key="a")
-        # No further submits, polls, or flushes: the flusher must wake
-        # itself on the deadline.
+        # No further submits, polls, or flushes: the flusher serves
+        # the lone request on its own.
         response = ticket.result(flush=False, timeout=5.0)
         elapsed = time.monotonic() - start
-    assert response.latency >= 0.05  # waited out the deadline
-    assert elapsed < 2.0  # ...but did not wait for anything else
+    # An idle worker took it at once; a 1 s hold would fail this, while
+    # even a cold first flush takes a small fraction of it.
+    assert response.latency < 1.0
+    assert elapsed < 2.0  # ...and did not wait for anything else
     assert response.batch_size == 1
 
 
@@ -380,25 +396,80 @@ def test_deadline_wait_is_event_driven_not_polling(fitted, cluster_data):
     assert wakeups <= 8
 
 
-def test_injectable_clock_deadline_determinism(fitted, cluster_data):
-    """Fake-clock seam: deadlines move only when the clock is advanced."""
+def test_injectable_clock_deadline_determinism(fitted_pair, cluster_data):
+    """Fake-clock seam: with the only worker busy, a queued request is
+    cut into its own batch exactly when the clock reaches max_delay,
+    and a request submitted after the cut rides a separate flush."""
+    low, high = fitted_pair
     clock = ManualClock()
+    release = threading.Event()
+    # The latency fault holds the only worker until the test releases it.
+    injector = FaultInjector(
+        [FaultRule("worker", kind="latency", times=1)],
+        sleeper=lambda _seconds: release.wait(timeout=30.0),
+    )
     with EncodingService(
-        max_batch=100, max_delay=5.0, backend="thread", clock=clock
+        max_batch=100,
+        max_delay=5.0,
+        backend="thread",
+        workers=1,
+        clock=clock,
+        fault_injector=injector,
     ) as service:
-        service.register("a", fitted)
-        ticket = service.submit(cluster_data[0], key="a")
-        service.poll()  # kick the flusher: still not due at t=0
+        service.register("busy", low)
+        service.register("a", high)  # its own pipeline: only the pool blocks it
+        held = service.submit(cluster_data[0], key="busy")
+        assert _wait_until(lambda: injector.fired_count("worker") == 1)
+        queued = service.submit(cluster_data[1], key="a")
+        service.poll()  # t=0: not due, and no worker is free
         time.sleep(0.05)
-        assert not ticket.done
+        assert service.batcher.pending("a") == 1
         clock.advance(4.0)
         service.poll()  # t=4.0 < 5.0: still not due
         time.sleep(0.05)
-        assert not ticket.done
+        assert service.batcher.pending("a") == 1
         clock.advance(1.0)
         service.poll()  # t=5.0: due exactly at the deadline (>=)
-        response = ticket.result(flush=False, timeout=10.0)
-    assert response.latency == 5.0  # fake-clock latency is exact
+        assert _wait_until(lambda: service.batcher.pending("a") == 0)
+        later = service.submit(cluster_data[2], key="a")
+        assert service.batcher.pending("a") == 1  # after the cut
+        release.set()
+        first = queued.result(flush=False, timeout=10.0)
+        second = later.result(flush=False, timeout=10.0)
+        held.result(flush=False, timeout=10.0)
+    assert first.batch_size == 1 and second.batch_size == 1
+    assert first.flush_id != second.flush_id
+    assert first.latency == 5.0  # fake-clock latency is exact
+    assert second.latency == 0.0
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "thread",
+        pytest.param(
+            "process",
+            marks=[pytest.mark.process_backend, pytest.mark.timeout(300)],
+        ),
+    ],
+)
+def test_idle_worker_serves_queued_request_at_once(
+    fitted, cluster_data, backend
+):
+    """Work-conserving dispatch: the fake clock never moves, so the
+    request never comes due; only the idle-worker trigger can serve
+    it, with a latency of exactly zero."""
+    clock = ManualClock()
+    service = EncodingService(
+        max_batch=100, max_delay=5.0, backend=backend, workers=1, clock=clock
+    )
+    service.register("a", fitted)
+    with service:
+        ticket = service.submit(cluster_data[0], key="a")
+        assert _wait_until(lambda: ticket.done, seconds=30.0)
+        response = ticket.result(flush=False)
+    assert response.latency == 0.0
+    assert response.batch_size == 1
 
 
 def test_overdue_busy_key_neither_wakes_nor_dispatches(fitted, cluster_data):

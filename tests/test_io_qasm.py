@@ -315,6 +315,29 @@ def test_versions_are_gated_through_the_shared_checker():
         "OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[0];\n",
         "OPENQASM 2.0;\nqreg q[1];\nrz() q[0];\n",
         "OPENQASM 2.0;\n",
+        # Parameters must evaluate to finite real angles: non-finite
+        # values and arithmetic or domain errors are all malformed.
+        *(
+            pytest.param(f"OPENQASM 2.0;\nqreg q[1];\n{app} q[0];\n", id=app)
+            for app in (
+                "rz(1e999)",
+                "rz(-1e999)",
+                "rz(1e308*10)",
+                "rz(1e999-1e999)",
+                "rz(2**10000)",
+                "rz(exp(1000))",
+                "rz(1/0)",
+                "rz(ln(0))",
+                "rz(sqrt(-1))",
+                "rz((-8)^(1/3))",
+                "u3(0, 1e999, 0)",
+            )
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[1];\n"
+            "gate g(a) t { rz(a*1e308*10) t; }\ng(1) q[0];\n",
+            id="gate-body-overflow",
+        ),
     ],
 )
 def test_malformed_sources_raise_serialization_error(bad):
