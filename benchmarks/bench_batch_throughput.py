@@ -22,9 +22,11 @@ on top of the end-to-end comparison this bench records:
 * the **bind-allocation micro-benchmark** (PR 6): tracemalloc byte and
   allocation-block counts for one batch-64 bind — the one-row loop vs
   one whole-batch ``bind_batch_ir``;
-* the **fine-tune engine comparison** (``optimize_rows`` vs the scipy
-  stacked drive) on the warm-started online batch, justifying the
-  ``EnQodeConfig.online_batch_engine`` default;
+* the **fine-tune drive sweep**: the stacked drive (``optimize``) and
+  the per-row drive (``optimize_rows``) on the same warm-started rows
+  at 2-64 rows, per row, with the drive
+  ``BatchLBFGSOptimizer.optimize_warm`` picks at each size
+  (``PER_ROW_DRIVE_MIN_SIZE``), so the rule can be re-measured;
 * the **wire-format micro-benchmark** (PR 8): bytes-per-circuit and
   encode/decode wall time of one template-bound batch across the
   :mod:`repro.io` serializations — the compact wire record
@@ -53,8 +55,14 @@ import tracemalloc
 
 import numpy as np
 
-from repro.core import EnQodeConfig, EnQodeEncoder
+from repro.core import (
+    BatchFidelityObjective,
+    BatchLBFGSOptimizer,
+    EnQodeConfig,
+    EnQodeEncoder,
+)
 from repro.core.ansatz import EnQodeAnsatz
+from repro.core.batch import PER_ROW_DRIVE_MIN_SIZE
 from repro.core.pipeline import EncodedSample
 from repro.data import load_dataset
 from repro.hardware import brisbane_linear_segment
@@ -79,6 +87,11 @@ MIN_ALLOCATION_RATIO = 10.0
 #: stream as a pickle (~25-26x measured at 4-6 qubits, batch 64).
 MIN_WIRE_COMPRESSION = 20.0
 REPETITIONS = 3
+#: Batch sizes of the fine-tune drive sweep, and its repetitions: more
+#: than the other stages get, because one slow pass of a small batch
+#: moves a 3-run median by 2-5x on a shared host.
+DRIVE_SWEEP_SIZES = (2, 8, 16, 32, 64)
+DRIVE_SWEEP_REPETITIONS = 7
 
 
 def _fitted_encoder(
@@ -109,7 +122,7 @@ def _fitted_encoder(
 def per_sample_encode(encoder: EnQodeEncoder, sample) -> EncodedSample:
     """The historical one-off ``encode``: fine-tune, then full transpile.
 
-    Sequential scipy fine-tune from the nearest cluster's warm start
+    A one-row scipy fine-tune from the nearest cluster's warm start
     (``TransferLearner.embed``), then a full per-sample transpile of the
     bound ansatz — the per-sample loop every throughput gate divides by.
     """
@@ -253,41 +266,66 @@ def _bind_stage(encoder: EnQodeEncoder, batched, repetitions: int) -> dict:
     }
 
 
-def _finetune_engines(encoder: EnQodeEncoder, samples, repetitions) -> dict:
-    """Warm-start fine-tune wall time per engine (the knob's evidence)."""
+def _finetune_drives(
+    encoder: EnQodeEncoder, samples, repetitions=DRIVE_SWEEP_REPETITIONS
+) -> dict:
+    """Both batched drives' warm-start time per row, by batch size.
+
+    Each size fine-tunes the first rows of ``samples`` from their routed
+    warm starts with the stacked and the per-row drive, interleaved, on
+    one objective, and records which drive ``optimize_warm`` picks
+    there.  Both drives must land in the same optimum.
+    """
     pipeline = encoder.pipeline
     prepared = pipeline.prepare(samples)
-    plan = pipeline.route.run(prepared)
-    transfer = encoder.pipeline.transfer
-    original = transfer.batch_engine
-    timings = {}
-    fidelities = {}
-    try:
-        for engine in ("stacked", "rows"):
-            transfer.batch_engine = engine
-            transfer.finetune(prepared, plan.indices, plan.distances)  # warm
-            times = []
-            for _ in range(repetitions):
+    theta0 = pipeline.route.run(prepared).theta0
+    config = encoder.config
+    optimizer = BatchLBFGSOptimizer(
+        max_iterations=config.online_max_iterations,
+        gtol=config.gtol,
+        ftol=config.ftol,
+    )
+    num_params = encoder.ansatz.num_parameters
+    sizes = {}
+    max_diff = 0.0
+    for size in DRIVE_SWEEP_SIZES:
+        objective = BatchFidelityObjective(
+            encoder.symbolic, encoder.ansatz, prepared[:size]
+        )
+        drives = {
+            "stacked": optimizer.optimize,
+            "rows": optimizer.optimize_rows,
+        }
+        times = {name: [] for name in drives}
+        fidelities = {}
+        for rep in range(repetitions + 1):
+            for name, drive in drives.items():
                 start = time.perf_counter()
-                outcomes = transfer.finetune(
-                    prepared, plan.indices, plan.distances
-                )
-                times.append(time.perf_counter() - start)
-            timings[engine] = float(np.median(times))
-            fidelities[engine] = [o.fidelity for o in outcomes]
-    finally:
-        transfer.batch_engine = original
+                fidelities[name] = drive(objective, theta0[:size]).fidelities
+                if rep:  # round 0 warms both drives
+                    times[name].append(time.perf_counter() - start)
+        max_diff = max(
+            max_diff,
+            float(np.max(np.abs(fidelities["stacked"] - fidelities["rows"]))),
+        )
+        per_row = {
+            name: float(np.median(values)) / size * 1e6
+            for name, values in times.items()
+        }
+        sizes[str(size)] = {
+            "stacked_us_per_row": per_row["stacked"],
+            "rows_us_per_row": per_row["rows"],
+            "picked": (
+                "stacked"
+                if size * num_params < PER_ROW_DRIVE_MIN_SIZE
+                else "rows"
+            ),
+        }
     return {
-        "stacked_seconds": timings["stacked"],
-        "rows_seconds": timings["rows"],
-        "rows_speedup_over_stacked": timings["stacked"] / timings["rows"],
-        "max_engine_fidelity_diff": float(
-            max(
-                abs(a - b)
-                for a, b in zip(fidelities["stacked"], fidelities["rows"])
-            )
-        ),
-        "default_engine": EnQodeConfig().online_batch_engine,
+        "per_row_drive_min_size": PER_ROW_DRIVE_MIN_SIZE,
+        "num_parameters": num_params,
+        "sizes": sizes,
+        "max_engine_fidelity_diff": max_diff,
     }
 
 
@@ -408,9 +446,7 @@ def run_scenario(
         **_check_equivalence(sequential, batched),
         "stages": _stage_breakdown(encoder, batched),
         **_bind_stage(encoder, batched, repetitions),
-        "finetune_engines": _finetune_engines(
-            encoder, samples, repetitions
-        ),
+        "finetune_drives": _finetune_drives(encoder, samples),
         "wire": _wire_formats(template, bound),
     }
 
@@ -493,8 +529,8 @@ def test_batch_throughput():
         assert row["min_fidelity_advantage"] > -1e-9
         # bind_batch must be a pure lowering optimization everywhere.
         assert row["bind_instruction_identical"]
-        # Both fine-tune engines land in the same optimum.
-        assert row["finetune_engines"]["max_engine_fidelity_diff"] < 1e-9
+        # Both fine-tune drives land in the same optimum.
+        assert row["finetune_drives"]["max_engine_fidelity_diff"] < 1e-9
     # Strict acceptance gates at the 4- and 6-qubit scales: numerically
     # equivalent results and the PR-4 end-to-end speedups at batch 64.
     for qubits, min_speedup in GATED_SPEEDUPS.items():
@@ -598,7 +634,7 @@ def smoke() -> None:
     assert row["max_fidelity_diff"] < 1e-9
     assert row["bind_instruction_identical"]
     assert row["bind_speedup"] >= 2.0
-    assert row["finetune_engines"]["max_engine_fidelity_diff"] < 1e-9
+    assert row["finetune_drives"]["max_engine_fidelity_diff"] < 1e-9
     gate = template_bind_gate()
     print(
         f"6q template gate: bind+lower {gate['bind_speedup']:.1f}x vs "

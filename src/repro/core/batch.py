@@ -11,17 +11,20 @@ same fixed-shape ansatz.  This module exploits that structure end to end:
   a ``(B, 2^n)`` matrix multiplied against the shared ``(2^n, l)`` half
   phase matrix, so the per-iteration cost is two matrix products instead
   of ``B`` Python-level objective calls.
-* :class:`BatchLBFGSOptimizer` drives all samples concurrently with one
-  **stacked** scipy L-BFGS run over the block-diagonal objective (the sum
-  of per-sample losses; its gradient is the concatenation of per-sample
-  gradients).  The stationary points of the stacked problem are exactly
-  the per-sample optima.  ``ftol`` is tightened by ``1/B`` so the
-  sum-scale stopping rule matches the per-sample rule, and any sample
-  whose own gradient still exceeds ``gtol`` afterwards gets an
-  individual warm-started polish run (per-sample convergence masking) —
-  which is why batched results match the sequential path to ~1e-12 in
-  fidelity.
-* :meth:`BatchLBFGSOptimizer.optimize_restarts` generalizes the stacked
+* :meth:`BatchLBFGSOptimizer.optimize_warm` is the online fine-tune, and
+  the batch's size picks its drive (:data:`PER_ROW_DRIVE_MIN_SIZE`): one
+  row runs one scipy L-BFGS on that row's own closure; a small batch
+  runs the **stacked** drive (:meth:`~BatchLBFGSOptimizer.optimize`, one
+  scipy L-BFGS over the block-diagonal sum of per-sample losses, whose
+  stationary points are exactly the per-sample optima, with ``ftol``
+  tightened by ``1/B`` so the sum-scale stopping rule matches the
+  per-sample rule); a large batch runs the **per-row** drive
+  (:meth:`~BatchLBFGSOptimizer.optimize_rows`, independent curvature and
+  step sizes per row).  Either batched drive ends with an individual
+  warm-started polish of any row whose own gradient still exceeds the
+  trigger, which is why batched results match the per-sample path to
+  ~1e-12 in fidelity.
+* :meth:`BatchLBFGSOptimizer.optimize_restarts` generalizes the per-row
   drive from single-basin warm starts to the offline stage's
   **multi-restart global training**: restart ``r`` starts every still-
   active cluster from the same draw a sequential
@@ -34,7 +37,7 @@ same fixed-shape ansatz.  This module exploits that structure end to end:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -45,6 +48,19 @@ from repro.core.symbolic import SymbolicState
 from repro.errors import OptimizationError
 from repro.utils.rng import as_rng
 from repro.utils.timing import Timer
+
+#: The warm-start drive rule of :meth:`BatchLBFGSOptimizer.optimize_warm`:
+#: a batch of ``rows * num_parameters`` below this runs the stacked
+#: drive, and one at or above it the per-row drive.  The stacked drive's
+#: one scipy run costs less per pass, but its shared line search makes
+#: every row wait for the hardest one, which costs more as the batch
+#: grows.  Swept on warm-started MNIST-PCA rows at 4, 6 and 8 qubits with
+#: 8 layers and 2-64 rows (perfbench's and ``bench_batch_throughput.py``'s
+#: data; one OpenBLAS thread, 2-vCPU Xeon VM), the stacked drive took
+#: 0.46-0.94x the per-row drive's time at every batch below this size,
+#: while on the bench's 8-qubit data it took 1.17x at 16 rows (1024) and
+#: 1.19-1.9x at 24-64.  ``bench_batch_throughput.py`` re-measures both.
+PER_ROW_DRIVE_MIN_SIZE = 1024
 
 
 class BatchFidelityObjective:
@@ -229,47 +245,37 @@ class BatchFidelityObjective:
 
 @dataclass
 class BatchOptimizationResult:
-    """Outcome of one batched (stacked + polished) optimization."""
+    """Outcome of one batched warm-start optimization (any drive).
+
+    ``iterations`` and ``evaluations`` are one per-row account: the
+    L-BFGS steps and objective evaluations each row received, its own
+    polish run included.  A stacked pass evaluates every row, so the
+    stacked drive credits every row with scipy's ``nit``/``nfev``; the
+    per-row drive credits each row with its own line-search passes, and
+    the one-row drive with scipy's counts.  The totals are their sums,
+    so per-sample and per-batch statistics share one unit.
+    """
 
     thetas: np.ndarray
     fidelities: np.ndarray
     losses: np.ndarray
-    num_iterations: int
-    num_evaluations: int
+    iterations: np.ndarray
+    evaluations: np.ndarray
     time: float
     converged: np.ndarray
-    stacked_iterations: int = 0
     polish_runs: int = 0
-    polish_iterations: np.ndarray = field(default=None)
-    polish_evaluations: np.ndarray = field(default=None)
-    sample_iterations: np.ndarray = field(default=None)
 
     @property
     def batch_size(self) -> int:
         return self.thetas.shape[0]
 
-    def per_sample_iterations(self, index: int) -> int:
-        """Iterations attributable to one sample.
+    @property
+    def num_iterations(self) -> int:
+        return int(self.iterations.sum())
 
-        On the stacked (scipy) drive each stacked iteration advances
-        every sample once (the per-sample analogue of one L-BFGS step);
-        the per-row drive records each row's own count in
-        ``sample_iterations``.  Either way the sample's own polish steps
-        are added — comparable to the sequential path's
-        ``num_iterations``, unlike :attr:`num_iterations` which totals
-        the whole batch.
-        """
-        polish = (
-            int(self.polish_iterations[index])
-            if self.polish_iterations is not None
-            else 0
-        )
-        own = (
-            int(self.sample_iterations[index])
-            if self.sample_iterations is not None
-            else self.stacked_iterations
-        )
-        return own + polish
+    @property
+    def num_evaluations(self) -> int:
+        return int(self.evaluations.sum())
 
 
 @dataclass
@@ -279,11 +285,11 @@ class BatchRestartResult:
     Per-cluster arrays are indexed like the objective's target rows.
     ``num_iterations``/``num_evaluations``/``time`` are whole-run totals;
     ``cluster_iterations``/``cluster_evaluations``/``cluster_times`` are
-    the per-cluster attributions: each drive's shared cost is split
-    evenly among the clusters active in it, while polish iterations and
-    evaluations are attributed to their own row (wall time has no
-    per-row measurement, so ``cluster_times`` stays an even share).
-    They sum back to the totals and feed ``OfflineReport`` faithfully.
+    the per-cluster attributions: each cluster is credited with the
+    iterations and evaluations its own rows received (every restart
+    row, polish included), while wall time has no per-row measurement,
+    so ``cluster_times`` splits each drive evenly over its rows.  They
+    sum back to the totals and feed ``OfflineReport`` faithfully.
     """
 
     thetas: np.ndarray
@@ -305,23 +311,26 @@ class BatchRestartResult:
 
 
 class BatchLBFGSOptimizer:
-    """Stacked L-BFGS over a :class:`BatchFidelityObjective`.
+    """L-BFGS drives over a :class:`BatchFidelityObjective`.
 
     Two entry points mirror :class:`repro.core.optimizer.LBFGSOptimizer`:
 
-    * :meth:`optimize` is warm-start mode (one stacked run from a given
-      ``theta0`` matrix — the online path);
+    * :meth:`optimize_warm` is warm-start mode (one run from a given
+      ``theta0`` matrix — the online fine-tune), which picks one of
+      three drives by the batch's size: one scipy run for one row, the
+      stacked drive (:meth:`optimize`) or the per-row drive
+      (:meth:`optimize_rows`);
     * :meth:`optimize_restarts` is multi-restart global-training mode
-      (the offline path): ``num_restarts`` stacked runs from the
+      (the offline path): ``num_restarts`` per-row runs from the
       sequential optimizer's own restart draws, best-basin tracking per
       cluster, and ``target_fidelity`` early exit via active-set masking.
 
     ``gtol`` applies per gradient component, so the stacked stopping rule
     is the same test the per-sample runs use; ``ftol`` is divided by the
     batch size because scipy's relative-decrease rule sees the *sum* of
-    losses.  Samples left above ``polish_threshold`` by a stacked run
+    losses.  Samples left above ``polish_threshold`` by a batched drive
     (early ``ftol`` exit or a hard sample dominating the line search) are
-    individually re-polished from their stacked solution.
+    individually re-polished from their batched solution.
 
     ``polish_threshold`` trades wasted scipy calls against guaranteed
     convergence depth: a sample whose gradient inf-norm is ``g`` sits
@@ -353,18 +362,59 @@ class BatchLBFGSOptimizer:
         self.target_fidelity = target_fidelity
         self.seed = seed
 
+    def optimize_warm(
+        self,
+        objective: BatchFidelityObjective,
+        theta0: np.ndarray,
+    ) -> BatchOptimizationResult:
+        """Fine-tune warm-started rows through the drive their size picks.
+
+        One row runs one scipy L-BFGS on the row's own closure
+        (:meth:`BatchFidelityObjective.single_value_and_grad`, the
+        polish routine), taking its loss from scipy's result.  Two or
+        more rows run the stacked drive while ``rows * num_parameters``
+        is below :data:`PER_ROW_DRIVE_MIN_SIZE`, and the per-row drive
+        from there on.
+        """
+        theta0 = self._check_start(objective, theta0)
+        batch = objective.batch_size
+        if batch == 1:
+            with Timer() as timer:
+                run = self._minimize_row(objective, 0, theta0[0])
+            loss = float(run.fun)
+            return BatchOptimizationResult(
+                thetas=np.asarray(run.x, dtype=float)[None, :],
+                fidelities=np.array([1.0 - loss]),
+                losses=np.array([loss]),
+                iterations=np.array([int(run.nit)]),
+                evaluations=np.array([int(run.nfev)]),
+                time=timer.elapsed,
+                converged=np.array([bool(run.success)]),
+            )
+        if batch * objective.num_parameters < PER_ROW_DRIVE_MIN_SIZE:
+            return self.optimize(objective, theta0)
+        return self.optimize_rows(objective, theta0)
+
+    @staticmethod
+    def _check_start(
+        objective: BatchFidelityObjective, theta0: np.ndarray
+    ) -> np.ndarray:
+        theta0 = np.asarray(theta0, dtype=float)
+        shape = (objective.batch_size, objective.num_parameters)
+        if theta0.shape != shape:
+            raise OptimizationError(
+                f"theta0 must be {shape}, got {theta0.shape}"
+            )
+        return theta0
+
     def optimize(
         self,
         objective: BatchFidelityObjective,
         theta0: np.ndarray,
     ) -> BatchOptimizationResult:
-        theta0 = np.asarray(theta0, dtype=float)
-        batch = objective.batch_size
-        num_params = objective.num_parameters
-        if theta0.shape != (batch, num_params):
-            raise OptimizationError(
-                f"theta0 must be ({batch}, {num_params}), got {theta0.shape}"
-            )
+        """Stacked drive: one scipy L-BFGS over the block-diagonal sum."""
+        theta0 = self._check_start(objective, theta0)
+        batch, num_params = theta0.shape
         with Timer() as timer:
             stacked = minimize(
                 objective.stacked_value_and_grad,
@@ -380,26 +430,37 @@ class BatchLBFGSOptimizer:
             thetas = np.asarray(stacked.x, dtype=float).reshape(
                 batch, num_params
             )
-            total_evals = int(stacked.nfev)
             # Per-sample convergence mask + individual polish for stragglers.
             converged = np.full(batch, bool(stacked.success))
             polish_iterations, polish_evals, polish_runs = self._polish(
                 objective, thetas, converged
             )
-            total_evals += int(polish_evals.sum())
             losses, _ = objective.value_and_grad(thetas)
         return BatchOptimizationResult(
             thetas=thetas,
             fidelities=1.0 - losses,
             losses=losses,
-            num_iterations=int(stacked.nit) + int(polish_iterations.sum()),
-            num_evaluations=total_evals,
+            iterations=int(stacked.nit) + polish_iterations,
+            evaluations=int(stacked.nfev) + polish_evals,
             time=timer.elapsed,
             converged=converged,
-            stacked_iterations=int(stacked.nit),
             polish_runs=polish_runs,
-            polish_iterations=polish_iterations,
-            polish_evaluations=polish_evals,
+        )
+
+    def _minimize_row(
+        self, objective: BatchFidelityObjective, row: int, theta: np.ndarray
+    ):
+        """One scipy L-BFGS run on row ``row``'s own objective."""
+        return minimize(
+            objective.single_value_and_grad(row),
+            theta,
+            jac=True,
+            method="L-BFGS-B",
+            options={
+                "maxiter": self.max_iterations,
+                "gtol": self.gtol,
+                "ftol": self.ftol,
+            },
         )
 
     def _polish(
@@ -422,17 +483,7 @@ class BatchLBFGSOptimizer:
         polish_runs = 0
         trigger = max(self.gtol, self.polish_threshold)
         for b in np.flatnonzero(grad_norms > trigger):
-            single = minimize(
-                objective.single_value_and_grad(int(b)),
-                thetas[b],
-                jac=True,
-                method="L-BFGS-B",
-                options={
-                    "maxiter": self.max_iterations,
-                    "gtol": self.gtol,
-                    "ftol": self.ftol,
-                },
-            )
+            single = self._minimize_row(objective, int(b), thetas[b])
             thetas[b] = single.x
             converged[b] = bool(single.success)
             polish_iterations[b] = int(single.nit)
@@ -465,20 +516,15 @@ class BatchLBFGSOptimizer:
         convergence quality (``gtol``/``polish_threshold``) is
         identical.
         """
-        theta0 = np.asarray(theta0, dtype=float)
-        batch = objective.batch_size
-        num_params = objective.num_parameters
-        if theta0.shape != (batch, num_params):
-            raise OptimizationError(
-                f"theta0 must be ({batch}, {num_params}), got {theta0.shape}"
-            )
+        theta0 = self._check_start(objective, theta0)
+        batch, num_params = theta0.shape
         memory = 8  # limited-memory history length
         c1 = 1e-4  # Armijo sufficient-decrease constant
         max_backtracks = 30
         with Timer() as timer:
             thetas = theta0.copy()
             losses, grads = objective.value_and_grad(thetas)
-            total_evals = batch
+            evaluations = np.ones(batch, dtype=int)
             # Histories live in one global ring buffer: every iteration
             # appends a slot for ALL rows (zeros — i.e. rho = 0 — for
             # rows that didn't advance), so the rows stay aligned and
@@ -571,7 +617,7 @@ class BatchLBFGSOptimizer:
                         else objective.subset(rows)
                     )
                     trial_losses, trial_grads = sub.value_and_grad(trial)
-                    total_evals += searching.size
+                    evaluations[rows] += 1
                     base = losses[rows]
                     ok = trial_losses <= (
                         base + c1 * alphas[searching] * slopes[searching]
@@ -669,21 +715,16 @@ class BatchLBFGSOptimizer:
             polish_iterations, polish_evals, polish_runs = self._polish(
                 objective, thetas, converged
             )
-            total_evals += int(polish_evals.sum())
             losses, _ = objective.value_and_grad(thetas)
         return BatchOptimizationResult(
             thetas=thetas,
             fidelities=1.0 - losses,
             losses=losses,
-            num_iterations=int(iterations.sum() + polish_iterations.sum()),
-            num_evaluations=total_evals,
+            iterations=iterations + polish_iterations,
+            evaluations=evaluations + polish_evals,
             time=timer.elapsed,
             converged=converged,
-            stacked_iterations=int(iterations.max(initial=0)),
             polish_runs=polish_runs,
-            polish_iterations=polish_iterations,
-            polish_evaluations=polish_evals,
-            sample_iterations=iterations,
         )
 
     @staticmethod
@@ -806,37 +847,20 @@ class BatchLBFGSOptimizer:
         histories: list[list[float]] = [
             [float(f)] for f in first.fidelities
         ]
-        cluster_iterations = np.asarray(
-            first.sample_iterations + first.polish_iterations, dtype=int
-        )
-        # Shared drive evaluations split evenly; each row's own polish
-        # evaluations attributed to it individually.  Wall time has no
-        # per-row measurement, so it stays an even share.
-        first_shared = first.num_evaluations - int(
-            first.polish_evaluations.sum()
-        )
-        cluster_evaluations = (
-            np.full(num_clusters, first_shared / num_clusters)
-            + first.polish_evaluations
-        )
+        # Each cluster is credited with its own rows' counts.  Wall time
+        # has no per-row measurement, so it stays an even share.
+        cluster_iterations = first.iterations.copy()
+        cluster_evaluations = first.evaluations.copy()
         cluster_times = np.full(num_clusters, first.time / num_clusters)
         if later is not None:
             total_iterations += later.num_iterations
             total_evaluations += later.num_evaluations
-            num_rows = row_clusters.size
-            row_iters = later.sample_iterations + later.polish_iterations
-            later_shared = later.num_evaluations - int(
-                later.polish_evaluations.sum()
+            np.add.at(cluster_iterations, row_clusters, later.iterations)
+            np.add.at(cluster_evaluations, row_clusters, later.evaluations)
+            np.add.at(
+                cluster_times, row_clusters, later.time / row_clusters.size
             )
             position = {int(c): i for i, c in enumerate(survivors)}
-            for row in range(num_rows):
-                cluster = int(row_clusters[row])
-                cluster_iterations[cluster] += int(row_iters[row])
-                cluster_evaluations[cluster] += (
-                    later_shared / num_rows
-                    + later.polish_evaluations[row]
-                )
-                cluster_times[cluster] += later.time / num_rows
             for cluster in survivors:
                 cluster = int(cluster)
                 # Replay the sequential selection: restart 0 is already

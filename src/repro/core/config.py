@@ -36,29 +36,9 @@ class EnQodeConfig:
     online_max_iterations:
         L-BFGS budget for transfer-learned per-sample fine-tuning
         (small, keeping online latency low and uniform — Sec. III-D).
-    online_batch_engine:
-        Which batched drive fine-tunes a multi-row online batch (a
-        single row always runs sequential scipy L-BFGS):
-        ``"rows"`` (the default) runs the per-row vectorized L-BFGS
-        (:meth:`repro.core.batch.BatchLBFGSOptimizer.optimize_rows`),
-        ``"stacked"`` runs one scipy L-BFGS over the block-diagonal
-        summed objective.  Which is faster depends on the batch size.
-        On warm-started MNIST-PCA rows (perfbench's fit data and request
-        mix, one BLAS thread, 2-vCPU Xeon VM, medians of 8 batches)
-        ``"stacked"`` beat ``"rows"`` by 1.1-1.7x at 2-32 rows at 4 and
-        6 qubits; ``"rows"`` won only at 64 rows (1.4x at 4 qubits,
-        1.2x at 6), because it drops converged rows out of later passes
-        while the stacked drive's shared line search makes every row
-        wait for the slowest one.  The default serves the paper's
-        batch-64 regime.  Both engines share the scipy polish backstop,
-        so final fidelities agree to ~1e-13; ``"stacked"`` reproduces
-        the historical batch trajectories exactly.  Caveat: the engines
-        count ``num_evaluations`` in different units — ``"stacked"``
-        reports scipy's whole-batch objective passes split evenly
-        across rows (~1 per sample), ``"rows"`` reports each row's own
-        evaluations (~13 per sample, commensurate with the sequential
-        per-sample path) — so ``evals_per_sample`` stats are not
-        comparable across the knob.
+        The batch's size picks the fine-tune drive (see
+        :meth:`repro.core.batch.BatchLBFGSOptimizer.optimize_warm`), and
+        every drive counts each row's own iterations and evaluations.
     target_fidelity:
         Early-exit threshold for offline restarts.
     optimization_level:
@@ -78,7 +58,6 @@ class EnQodeConfig:
     offline_polish_threshold: float = 1e-7
     warm_start_cluster_search: bool = True
     online_max_iterations: int = 80
-    online_batch_engine: str = "rows"
     target_fidelity: float = 0.995
     gtol: float = 1e-9
     ftol: float = 1e-12
@@ -103,11 +82,6 @@ class EnQodeConfig:
         if self.offline_polish_threshold < 0.0:
             raise OptimizationError(
                 "offline_polish_threshold must be non-negative"
-            )
-        if self.online_batch_engine not in ("stacked", "rows"):
-            raise OptimizationError(
-                f"online_batch_engine must be 'stacked' or 'rows', "
-                f"got {self.online_batch_engine!r}"
             )
         if not 0.0 < self.target_fidelity <= 1.0:
             raise OptimizationError("target_fidelity must be in (0, 1]")

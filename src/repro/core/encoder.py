@@ -268,9 +268,8 @@ class EnQodeEncoder:
         """One stacked multi-restart drive over all cluster means.
 
         Per-cluster ``training_time``/iteration/evaluation numbers come
-        from the batch result's attribution arrays (each drive's shared
-        cost split evenly over the clusters active in it, polish
-        iterations/evaluations individual, wall time an even share), so
+        from the batch result's attribution arrays (each cluster's own
+        rows' iterations and evaluations, wall time an even share), so
         ``OfflineReport.cluster_times`` stays faithful: it sums back to
         the batched training wall time.
         """
@@ -290,15 +289,6 @@ class EnQodeEncoder:
             seed=self.config.seed,
         )
         run = optimizer.optimize_restarts(objective)
-        # Integerize the fractional per-cluster evaluation shares with
-        # largest-remainder rounding so they sum back to the exact run
-        # total (the same contract embed_batch keeps for its samples).
-        evaluations = np.floor(run.cluster_evaluations).astype(int)
-        deficit = int(run.num_evaluations - evaluations.sum())
-        if deficit > 0:
-            order = np.argsort(evaluations - run.cluster_evaluations)
-            for i in range(deficit):
-                evaluations[order[i % order.size]] += 1
         models = []
         for c in range(run.batch_size):
             result = OptimizationResult(
@@ -306,7 +296,7 @@ class EnQodeEncoder:
                 fidelity=float(run.fidelities[c]),
                 loss=float(run.losses[c]),
                 num_iterations=int(run.cluster_iterations[c]),
-                num_evaluations=int(evaluations[c]),
+                num_evaluations=int(run.cluster_evaluations[c]),
                 time=float(run.cluster_times[c]),
                 converged=bool(run.converged[c]),
                 restarts_used=int(run.restarts_used[c]),
@@ -336,7 +326,6 @@ class EnQodeEncoder:
             max_iterations=self.config.online_max_iterations,
             gtol=self.config.gtol,
             ftol=self.config.ftol,
-            batch_engine=self.config.online_batch_engine,
         )
 
     # -- online --------------------------------------------------------------------
@@ -377,8 +366,8 @@ class EnQodeEncoder:
     ) -> EncodedSample:
         """Embed one sample via transfer learning (the "real-time" path).
 
-        A :meth:`pipeline` run of batch size one: the sequential scipy
-        fine-tune, then one bind of the cached template, so the circuit
+        A :meth:`pipeline` run of batch size one: the one-row fine-tune
+        drive, then one bind of the cached template, so the circuit
         is a lazy :class:`~repro.transpile.bound.BoundCircuit` as on
         every other path.  ``normalize``/``pad_with`` are the PennyLane
         ``AmplitudeEmbedding`` input conveniences of
@@ -409,10 +398,10 @@ class EnQodeEncoder:
     ) -> list[EncodedSample]:
         """Embed a ``(B, 2^n)`` sample matrix through one pipeline run.
 
-        * all ``B`` fine-tunes run concurrently through one batched
-          L-BFGS drive over a :class:`~repro.core.batch.
-          BatchFidelityObjective` (one BLAS pass per iteration; the
-          engine is selected by ``config.online_batch_engine``);
+        * all ``B`` fine-tunes run concurrently over one
+          :class:`~repro.core.batch.BatchFidelityObjective` (one BLAS
+          pass per iteration), through the drive the batch's size picks
+          (:meth:`~repro.core.batch.BatchLBFGSOptimizer.optimize_warm`);
         * the ansatz is transpiled once per (ansatz, backend,
           optimization_level) into a cached parametric template, and the
           whole batch re-binds its Rz angles through one vectorized
@@ -421,9 +410,9 @@ class EnQodeEncoder:
           instruction-identical to a full transpile of each sample).
 
         Cluster assignments match ``[self.encode(x) for x in samples]``;
-        a single-row batch *is* ``encode`` (sequential fine-tune
-        engine), while at ``B >= 2`` the batched drive reaches the same
-        optimum only to within optimizer tolerance.  Per-sample
+        a single-row batch *is* ``encode`` (the one-row drive), while at
+        ``B >= 2`` the batched drive reaches the same optimum only to
+        within optimizer tolerance.  Per-sample
         ``compile_time`` is an even share of the run's wall time (batch
         optimization, the one-time template build on a cache miss, and
         the bind).  ``normalize``/``pad_with`` are the same

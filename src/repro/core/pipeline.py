@@ -9,8 +9,8 @@ big-batch :meth:`EnQodeEncoder.encode_batch`, and the streaming
     whose center is closest, yielding the warm-start parameters.
 ``finetune``
     Transfer-learned L-BFGS: fine-tune the warm start for the sample's
-    own amplitudes (sequential scipy for one row, the batched drive of
-    :mod:`repro.core.batch` for two or more).
+    own amplitudes through the drive the batch's size picks
+    (:meth:`repro.core.batch.BatchLBFGSOptimizer.optimize_warm`).
 ``lower``
     Angles → backend circuit: fetch the cached parametric transpile
     template (:func:`repro.transpile.transpiler.transpile_template`)
@@ -22,8 +22,7 @@ big-batch :meth:`EnQodeEncoder.encode_batch`, and the streaming
 :class:`EncodePipeline` composes the stages; ``encode`` is
 :meth:`EncodePipeline.run_reported` on a batch of size one, and the
 service's micro-batch flushes are the same call on whatever
-accumulated.  A single-row run uses the sequential fine-tune engine and
-a multi-row run uses the batched one.
+accumulated.
 """
 
 from __future__ import annotations
@@ -152,11 +151,8 @@ class RouteStage:
 class FinetuneStage:
     """Transfer-learned L-BFGS fine-tune from the routed warm starts.
 
-    One row runs the sequential scipy optimizer (the engine ``encode``
-    has always used); two or more rows run the batched drive that
-    ``EnQodeConfig.online_batch_engine`` selects (the per-row drive by
-    default, the stacked drive on request) — see
-    :meth:`repro.core.transfer.TransferLearner.finetune`.
+    Runs :meth:`repro.core.transfer.TransferLearner.finetune`, the one
+    online fine-tune, whose drive the batch's size picks.
     """
 
     def __init__(self, transfer: TransferLearner) -> None:

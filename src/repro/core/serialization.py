@@ -138,17 +138,20 @@ def require_section(payload: dict, key: str, what: str = "stored EnQode model"):
     """``payload[key]`` or a :class:`SerializationError` naming the hole."""
     try:
         return payload[key]
-    except KeyError:
+    except (KeyError, TypeError):
         raise SerializationError(
             f"{what} is missing the {key!r} section"
         ) from None
 
 
 #: Config fields that earlier builds stored and this build no longer
-#: has (``EnQodeConfig.offline_batch``, ``QMLConfig.engine``).  They
-#: only chose how to *train*, so a loaded model serves the same without
-#: them and :func:`config_from_section` drops them.
-RETIRED_CONFIG_FIELDS = frozenset({"offline_batch", "engine"})
+#: has (``EnQodeConfig.offline_batch`` and ``online_batch_engine``,
+#: ``QMLConfig.engine``).  They only chose an optimizer drive, so a
+#: loaded model serves the same without them and
+#: :func:`config_from_section` drops them.
+RETIRED_CONFIG_FIELDS = frozenset(
+    {"offline_batch", "online_batch_engine", "engine"}
+)
 
 
 #: The stored value types a config field admits, by its default's type.
@@ -195,6 +198,51 @@ def config_from_section(config_cls, section, what: str):
         raise SerializationError(f"{what} config is invalid: {exc}") from exc
 
 
+def stored_floats(value, shape: tuple, what: str) -> np.ndarray:
+    """A stored number or array as a finite float array of ``shape``.
+
+    The one reader of every stored number (cluster centers, thetas,
+    fidelities and times, classifier thetas, preprocessor weights and
+    sizes).  A value that is not numeric, has another shape or holds a
+    NaN or an infinity raises :class:`~repro.errors.SerializationError`.
+    """
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SerializationError(f"{what} is not numeric: {exc}") from None
+    if array.dtype.kind not in "iuf":
+        raise SerializationError(f"{what} is not numeric: {value!r:.60}")
+    if array.shape != tuple(shape):
+        raise SerializationError(
+            f"{what} has shape {array.shape}, expected {tuple(shape)}"
+        )
+    array = array.astype(float)
+    if not np.all(np.isfinite(array)):
+        raise SerializationError(f"{what} holds a NaN or an infinity")
+    return array
+
+
+def read_bundle(path: "str | pathlib.Path", what: str) -> dict:
+    """The JSON object stored at ``path``.
+
+    A missing file raises ``FileNotFoundError``; a file that is not JSON
+    or whose top-level value is not an object raises
+    :class:`~repro.errors.SerializationError`.
+    """
+    try:
+        payload = json.loads(pathlib.Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SerializationError(
+            f"{path} does not contain a {what}: {exc}"
+        ) from None
+    if not isinstance(payload, dict):
+        raise SerializationError(
+            f"{path} does not contain a {what} "
+            f"(top-level JSON value is {type(payload).__name__})"
+        )
+    return payload
+
+
 def encoder_from_dict(payload: dict, backend) -> EnQodeEncoder:
     """Rebuild a ready-to-encode encoder from :func:`encoder_to_dict`."""
     check_schema(payload)
@@ -205,30 +253,51 @@ def encoder_from_dict(payload: dict, backend) -> EnQodeEncoder:
     if payload.get("preprocessor") is not None:
         preprocessor = TrainableEmbedding.from_dict(payload["preprocessor"])
     encoder = EnQodeEncoder(backend, config, preprocessor=preprocessor)
+    clusters = require_section(payload, "clusters")
+    if not isinstance(clusters, list):
+        raise SerializationError(
+            f"stored model clusters must be a list, got "
+            f"{type(clusters).__name__}"
+        )
     models = []
-    for entry in require_section(payload, "clusters"):
-        center = np.asarray(require_section(entry, "center"), dtype=float)
-        theta = np.asarray(require_section(entry, "theta"), dtype=float)
-        if center.size != config.num_amplitudes:
+    for entry in clusters:
+        center = stored_floats(
+            require_section(entry, "center"),
+            (config.num_amplitudes,),
+            "stored center",
+        )
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(center)
+        if not 0.0 < norm < np.inf:
             raise SerializationError(
-                f"stored center has dim {center.size}, config expects "
-                f"{config.num_amplitudes}"
+                f"stored center has norm {norm}; a cluster center needs a "
+                "direction"
             )
-        if theta.size != encoder.ansatz.num_parameters:
-            raise SerializationError(
-                f"stored theta has {theta.size} parameters, ansatz has "
-                f"{encoder.ansatz.num_parameters}"
+        theta = stored_floats(
+            require_section(entry, "theta"),
+            (encoder.ansatz.num_parameters,),
+            "stored theta",
+        )
+        fidelity = float(
+            stored_floats(
+                require_section(entry, "fidelity"), (), "stored fidelity"
             )
+        )
+        training_time = float(
+            stored_floats(
+                entry.get("training_time", 0.0), (), "stored training_time"
+            )
+        )
         models.append(
             ClusterModel(
                 center=center,
                 theta=theta,
-                fidelity=float(require_section(entry, "fidelity")),
-                training_time=float(entry.get("training_time", 0.0)),
+                fidelity=fidelity,
+                training_time=training_time,
                 result=OptimizationResult(
                     theta=theta,
-                    fidelity=float(entry["fidelity"]),
-                    loss=1.0 - float(entry["fidelity"]),
+                    fidelity=fidelity,
+                    loss=1.0 - fidelity,
                     num_iterations=0,
                     num_evaluations=0,
                     time=0.0,
@@ -253,10 +322,6 @@ def encoder_from_dict(payload: dict, backend) -> EnQodeEncoder:
 
 def load_encoder(path: "str | pathlib.Path", backend) -> EnQodeEncoder:
     """Read a fitted encoder back from :func:`save_encoder` output."""
-    payload = json.loads(pathlib.Path(path).read_text())
-    if not isinstance(payload, dict):
-        raise SerializationError(
-            f"{path} does not contain an EnQode model bundle "
-            f"(top-level JSON value is {type(payload).__name__})"
-        )
-    return encoder_from_dict(payload, backend)
+    return encoder_from_dict(
+        read_bundle(path, "EnQode model bundle"), backend
+    )

@@ -186,20 +186,30 @@ class TrainableEmbedding:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrainableEmbedding":
+        from repro.core.serialization import stored_floats
+
         for key in ("input_size", "output_size", "weights"):
             if key not in payload:
                 raise SerializationError(
                     f"preprocessor payload missing {key!r}"
                 )
-        embedding = cls(
-            int(payload["input_size"]), int(payload["output_size"])
+        sizes = []
+        for key in ("input_size", "output_size"):
+            what = f"preprocessor {key}"
+            size = float(stored_floats(payload[key], (), what))
+            if size < 1 or size != int(size):
+                raise SerializationError(
+                    f"{what} must be a positive integer, got {size}"
+                )
+            sizes.append(int(size))
+        input_size, output_size = sizes
+        # Read the weights before sizing anything by the stored sizes.
+        weights = stored_floats(
+            payload["weights"],
+            (output_size, input_size),
+            "preprocessor weights",
         )
-        weights = np.asarray(payload["weights"], dtype=float)
-        if weights.shape != (embedding.output_size, embedding.input_size):
-            raise SerializationError(
-                f"preprocessor weights shape {weights.shape} does not "
-                f"match ({embedding.output_size}, {embedding.input_size})"
-            )
+        embedding = cls(input_size, output_size)
         embedding.weights = weights
         return embedding
 

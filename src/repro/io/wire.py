@@ -54,11 +54,16 @@ side — pass one explicitly or give :func:`load` a ``template_resolver``
 encoders' template cache).  Version and fingerprint mismatches raise
 :class:`~repro.errors.SerializationError` through the same
 :func:`repro.core.serialization.check_schema_version` gate as the JSON
-model bundles.
+model bundles.  So does every field no encoder writes: a name that is
+not UTF-8, a gate on a repeated qubit, a non-finite theta, gate
+parameter, fidelity or time, an infinite synthesis angle (NaN is the
+skip marker), a row kind outside 0-2, and a special row that is out of
+range, disagrees with its kind or replays a gate synthesis never emits.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -70,7 +75,7 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.gates import Gate
 from repro.quantum.instruction import Instruction
 from repro.transpile.bound import BoundCircuit, BoundCircuitBatch
-from repro.transpile.euler import PackedSynthesis
+from repro.transpile.euler import PACKED_SPECIAL, PackedSynthesis
 
 MAGIC = b"RQWF"
 
@@ -337,14 +342,40 @@ def _check_header(cursor: _Cursor) -> int:
     return kind
 
 
+def _finite(values, what: str):
+    """``values`` unchanged, or :class:`SerializationError` if any is
+    NaN or infinite (no decoded angle, fidelity or time may be).
+
+    A gate's parameter tuple is checked in Python: a special synthesis
+    row carries a few of them, and a numpy call apiece would cost more
+    than decoding the row.
+    """
+    if isinstance(values, tuple):
+        finite = all(map(math.isfinite, values))
+    else:
+        finite = np.isfinite(values).all()
+    if not finite:
+        raise SerializationError(f"wire record carries a non-finite {what}")
+    return values
+
+
+#: The gates a special synthesis row may replay (``synthesize_1q``'s).
+_SPECIAL_OPS = frozenset({"rz", "sx", "x"})
+
+
 def _decode_ops(cursor: _Cursor, count: int) -> list:
     ops = []
     for _ in range(count):
         (code,) = cursor.unpack("<B")
         name = _decode_gate_name(code)
+        if name not in _SPECIAL_OPS:
+            raise SerializationError(
+                f"special synthesis row replays {name!r}; only "
+                f"{sorted(_SPECIAL_OPS)} are synthesized"
+            )
         num_params = GATE_SIGNATURES[name][1]
         params = cursor.unpack(f"<{num_params}d") if num_params else ()
-        ops.append((name, params))
+        ops.append((name, _finite(params, f"{name} parameter")))
     return ops
 
 
@@ -395,6 +426,7 @@ def _decode_template_batch(
     thetas = np.frombuffer(
         cursor.take(num_rows * num_params * 8), dtype="<f8"
     ).reshape(num_rows, num_params).copy()
+    _finite(thetas, "theta")
     if not flags & _FLAG_SYNTHESIS:
         cursor.done()
         # Rebinding is deterministic and float-bit reproducible, so this
@@ -407,25 +439,71 @@ def _decode_template_batch(
             f"wire record has {num_runs} synthesis runs, template has "
             f"{len(template._parametric_runs)}"
         )
-    packed = []
+    packed, kind_bytes, angle_bytes, listed = [], [], [], 0
     for _ in range(num_runs):
-        kinds = np.frombuffer(cursor.take(num_rows), dtype=np.uint8).copy()
-        angles = np.frombuffer(
-            cursor.take(num_rows * 3 * 8), dtype="<f8"
-        ).reshape(num_rows, 3).copy()
+        kind_bytes.append(cursor.take(num_rows))
+        angle_bytes.append(cursor.take(num_rows * 3 * 8))
+        kinds = np.frombuffer(kind_bytes[-1], dtype=np.uint8).copy()
+        angles = np.frombuffer(angle_bytes[-1], dtype="<f8").reshape(
+            num_rows, 3
+        ).copy()
         (num_specials,) = cursor.unpack("<I")
+        listed += num_specials
         specials = {}
         for _ in range(num_specials):
             row, num_ops = cursor.unpack("<IH")
+            if (
+                row >= num_rows
+                or kinds[row] != PACKED_SPECIAL
+                or row in specials
+            ):
+                raise SerializationError(
+                    f"wire synthesis section lists special row {row}, "
+                    f"which is out of range, repeated or not marked special"
+                )
             specials[row] = _decode_ops(cursor, num_ops)
         packed.append(PackedSynthesis(angles, kinds, specials))
     cursor.done()
+    _check_synthesis(b"".join(kind_bytes), b"".join(angle_bytes), listed)
     return BoundCircuitBatch(template, thetas, packed)
+
+
+def _check_synthesis(kinds: bytes, angles: bytes, listed: int) -> None:
+    """Refuse row kinds and angles no synthesis writes.
+
+    Takes every run's raw kind and angle bytes at once: a 6-qubit record
+    holds about 50 runs, and the process backend decodes one record per
+    flush, so per-run numpy checks would cost more than the decode.
+    ``listed`` counts the special rows whose ops the record lists.
+    """
+    highest = np.frombuffer(kinds, dtype=np.uint8).max(initial=0)
+    if highest > PACKED_SPECIAL:  # the kinds are 0, 1 and 2
+        raise SerializationError(
+            f"wire synthesis section has row kind {highest}, "
+            f"outside 0-{PACKED_SPECIAL}"
+        )
+    # Each listed special row was checked to be marked special as it was
+    # read, so equal counts mean every marked row lists its ops.
+    if kinds.count(PACKED_SPECIAL) != listed:
+        raise SerializationError(
+            "wire synthesis section marks a row special without listing "
+            "its ops"
+        )
+    # NaN marks a skipped Rz slot; an infinite angle is corruption.
+    if np.isinf(np.frombuffer(angles, dtype="<f8")).any():
+        raise SerializationError(
+            "wire synthesis section carries an infinite angle"
+        )
 
 
 def _decode_circuit_body(cursor: _Cursor) -> QuantumCircuit:
     num_qubits, name_length = cursor.unpack("<HH")
-    name = cursor.take(name_length).decode("utf-8")
+    try:
+        name = cursor.take(name_length).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SerializationError(
+            f"wire circuit name is not valid UTF-8: {exc}"
+        ) from None
     (num_instructions,) = cursor.unpack("<I")
     instructions = []
     for _ in range(num_instructions):
@@ -438,7 +516,12 @@ def _decode_circuit_body(cursor: _Cursor) -> QuantumCircuit:
                 f"wire instruction {gate_name} on qubits {qubits} is out "
                 f"of range for a {num_qubits}-qubit circuit"
             )
+        if len(set(qubits)) != arity:
+            raise SerializationError(
+                f"wire instruction {gate_name} repeats a qubit: {qubits}"
+            )
         params = cursor.unpack(f"<{num_params}d") if num_params else ()
+        _finite(params, f"{gate_name} parameter")
         # Lazy matrices, exactly like the template materialization path:
         # params carry the float bits, the matrix builds on demand.
         instructions.append(
@@ -481,6 +564,12 @@ def load_encoded_batch(
     compile_times = np.frombuffer(cursor.take(batch_size * 8), dtype="<f8")
     route_s, tune_s, bind_s, lower_s, template_binds, hit = cursor.unpack(
         "<4dIb"
+    )
+    _finite(
+        np.concatenate(
+            (fidelities, compile_times, (route_s, tune_s, bind_s, lower_s))
+        ),
+        "fidelity or time",
     )
     bound = _decode_template_batch(cursor, template, template_resolver)
     if bound.batch_size != batch_size:

@@ -36,7 +36,9 @@ from repro.core.serialization import (
     config_from_section,
     encoder_from_dict,
     encoder_to_dict,
+    read_bundle,
     require_section,
+    stored_floats,
 )
 from repro.errors import OptimizationError, SerializationError
 from repro.qml.model import QMLClassifier
@@ -146,13 +148,11 @@ class QMLModel:
             QMLConfig, require_section(section, "config"), "stored classifier"
         )
         classifier = QMLClassifier(config=config, backend=backend)
-        theta = np.asarray(require_section(section, "theta"), dtype=float)
-        if theta.size != classifier.vqc.num_parameters:
-            raise SerializationError(
-                f"stored theta has {theta.size} parameters, classifier "
-                f"has {classifier.vqc.num_parameters}"
-            )
-        classifier.theta = theta
+        classifier.theta = stored_floats(
+            require_section(section, "theta"),
+            (classifier.vqc.num_parameters,),
+            "stored classifier theta",
+        )
         return cls(encoder, classifier)
 
     def __repr__(self) -> str:
@@ -169,10 +169,4 @@ def save_qml_model(model: QMLModel, path: "str | pathlib.Path") -> None:
 
 def load_qml_model(path: "str | pathlib.Path", backend) -> QMLModel:
     """Read a bundle back from :func:`save_qml_model` output."""
-    payload = json.loads(pathlib.Path(path).read_text())
-    if not isinstance(payload, dict):
-        raise SerializationError(
-            f"{path} does not contain a QML model bundle "
-            f"(top-level JSON value is {type(payload).__name__})"
-        )
-    return QMLModel.from_dict(payload, backend)
+    return QMLModel.from_dict(read_bundle(path, "QML model bundle"), backend)

@@ -208,11 +208,9 @@ class ServiceStats:
     ``shed_degraded`` responses also count in ``requests_completed``,
     and ``deadline_expired`` failures in ``requests_failed``.
 
-    ``evals_per_sample`` has the unit of
-    ``EnQodeConfig.online_batch_engine`` (the per-row drive counts each
-    row's own evaluations, the stacked drive splits whole-batch scipy
-    passes evenly), so compare it only within one engine setting.  The
-    template counters cover this service's flushes only;
+    ``evals_per_sample`` counts the objective evaluations each row
+    received, at every batch size.  The template counters cover this
+    service's flushes only;
     ``template_binds`` counts rows, so it equals the rows served by
     flushes.
     """

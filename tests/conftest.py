@@ -40,6 +40,10 @@ class WatchdogTimeout(Exception):
 
 
 def pytest_configure(config):
+    # numpy reports non-finite arithmetic (a NaN angle reaching a bind,
+    # an overflow in an objective) as a RuntimeWarning; fail the test
+    # instead of letting the bad value through with a warning.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
     config.addinivalue_line(
         "markers",
         "timeout(seconds): fail the test if it runs longer than this "

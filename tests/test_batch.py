@@ -21,6 +21,7 @@ from repro.core import (
     nearest_center,
     nearest_centers,
 )
+from repro.core.batch import PER_ROW_DRIVE_MIN_SIZE
 from repro.errors import OptimizationError, TranspilerError
 from repro.quantum import simulate_statevector, state_fidelity
 from repro.quantum.gates import Gate, gate
@@ -402,29 +403,32 @@ def test_gate_trusted_lazy_matrix():
     np.testing.assert_array_equal(lazy.matrix, eager.matrix)
 
 
-# -- the online batch-engine knob (PR 4) ----------------------------------------------
+# -- the one online fine-tune entry ---------------------------------------------------
 
 
 def test_online_batch_engine_equivalence(fitted, cluster_data):
     """Per-row and stacked drives agree on warm-start fine-tunes."""
-    samples = cluster_data[:16]
-    transfer = fitted._transfer
-    original = transfer.batch_engine
-    try:
-        transfer.batch_engine = "rows"
-        rows = fitted.encode_batch(samples)
-        transfer.batch_engine = "stacked"
-        stacked = fitted.encode_batch(samples)
-    finally:
-        transfer.batch_engine = original
-    for a, b in zip(rows, stacked):
-        assert a.cluster_index == b.cluster_index
-        assert abs(a.ideal_fidelity - b.ideal_fidelity) < 1e-9
+    pipeline = fitted.pipeline
+    samples = pipeline.prepare(cluster_data[:16])
+    plan = pipeline.route.run(samples)
+    objective = BatchFidelityObjective(fitted.symbolic, fitted.ansatz, samples)
+    optimizer = fitted._transfer._optimizer
+    rows = optimizer.optimize_rows(objective, plan.theta0)
+    stacked = optimizer.optimize(objective, plan.theta0)
+    np.testing.assert_allclose(rows.fidelities, stacked.fidelities, atol=1e-9)
+    served = fitted.encode_batch(cluster_data[:16])
+    assert [s.cluster_index for s in served] == plan.indices.tolist()
+    template = pipeline.lower.template()
+    for a, b in zip(
+        template.bind_batch(rows.thetas), template.bind_batch(stacked.thetas)
+    ):
         assert a.circuit.count_ops() == b.circuit.count_ops()
 
 
 def test_online_batch_engine_dispatch(fitted, cluster_data, monkeypatch):
-    """The knob routes multi-row fine-tunes to the selected drive."""
+    """The batch's size picks the drive: one row runs neither batched
+    drive, a batch below the threshold the stacked drive, and one at or
+    above it the per-row drive."""
     calls = []
     original_rows = BatchLBFGSOptimizer.optimize_rows
     original_stacked = BatchLBFGSOptimizer.optimize
@@ -439,32 +443,23 @@ def test_online_batch_engine_dispatch(fitted, cluster_data, monkeypatch):
 
     monkeypatch.setattr(BatchLBFGSOptimizer, "optimize_rows", spy_rows)
     monkeypatch.setattr(BatchLBFGSOptimizer, "optimize", spy_stacked)
-    transfer = fitted._transfer
-    original = transfer.batch_engine
-    try:
-        for engine in ("rows", "stacked"):
-            transfer.batch_engine = engine
-            calls.clear()
-            fitted.encode_batch(cluster_data[:3])
-            assert calls == [engine]
-    finally:
-        transfer.batch_engine = original
-
-
-def test_online_batch_engine_validation(segment4):
-    with pytest.raises(OptimizationError):
-        EnQodeConfig(num_qubits=4, online_batch_engine="bogus")
-    from repro.core.transfer import TransferLearner
-
-    ansatz = EnQodeAnsatz(4, 4)
-    with pytest.raises(OptimizationError):
-        TransferLearner(
-            ansatz,
-            SymbolicState.from_ansatz(ansatz),
-            centers=np.eye(16)[:2],
-            cluster_thetas=np.zeros((2, ansatz.num_parameters)),
-            batch_engine="bogus",
-        )
+    # The smallest batch the per-row drive takes at this geometry.
+    boundary = -(-PER_ROW_DRIVE_MIN_SIZE // fitted.ansatz.num_parameters)
+    samples = np.resize(cluster_data, (boundary, cluster_data.shape[1]))
+    expected = {
+        1: [],
+        2: ["stacked"],
+        boundary - 1: ["stacked"],
+        boundary: ["rows"],
+    }
+    for rows, drive in expected.items():
+        calls.clear()
+        encoded = fitted.encode_batch(samples[:rows])
+        assert len(encoded) == rows
+        assert calls == drive, rows
+    calls.clear()
+    fitted.encode(samples[0])
+    assert calls == []
 
 
 def test_pipeline_records_bind_stage_seconds(fitted, cluster_data):

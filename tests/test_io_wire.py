@@ -13,13 +13,22 @@ parameters, and every malformed blob fails as a
 
 from __future__ import annotations
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
 from repro.core.ansatz import EnQodeAnsatz
-from repro.errors import SerializationError
+from repro.errors import ReproError, SerializationError
 from repro.io import wire
-from repro.transpile.bound import BoundCircuit
+from repro.quantum import QuantumCircuit, simulate_statevector
+from repro.transpile.bound import BoundCircuit, BoundCircuitBatch
+from repro.transpile.euler import (
+    PACKED_GENERIC,
+    PACKED_SPECIAL,
+    PackedSynthesis,
+)
 from repro.transpile.template import ParametricTemplate
 
 from tests.conftest import random_circuit
@@ -253,6 +262,242 @@ def test_unknown_gate_code_rejected(rng):
     blob[offset] = 250
     with pytest.raises(SerializationError, match="code"):
         wire.load(bytes(blob))
+
+
+# -- corrupted records -------------------------------------------------------------
+#
+# Each case builds a record holding a field no encoder writes.  The
+# decoder must refuse it with a SerializationError: never decode it, and
+# never leak a UnicodeDecodeError, a KeyError or a numpy warning.
+
+
+@pytest.fixture(scope="module")
+def flush(segment4):
+    """A tiny fitted encoder's 4-row pipeline run, with its template."""
+    from repro.core.config import EnQodeConfig
+    from repro.core.encoder import EnQodeEncoder
+
+    rng = np.random.default_rng(77)
+    encoder = EnQodeEncoder(
+        segment4,
+        EnQodeConfig(
+            num_qubits=4,
+            max_clusters=2,
+            offline_restarts=1,
+            offline_max_iterations=25,
+        ),
+    )
+    data = np.abs(rng.normal(size=(20, 16))) + 0.1
+    encoder.fit(data)
+    encoded, report = encoder.pipeline.run_reported(data[:4])
+    return encoded, report, encoder.pipeline.lower.template()
+
+
+def _decode(blob: bytes, template):
+    if blob[5:6] == bytes([wire.KIND_ENCODED_BATCH]):
+        return wire.load_encoded_batch(blob, template=template)
+    return wire.load(blob, template=template)
+
+
+def _patch(blob: bytes, offset: int, payload: bytes) -> bytes:
+    return blob[:offset] + payload + blob[offset + len(payload):]
+
+
+_HEADER = 6  # magic, version, kind
+_BODY = struct.calcsize("<B16sHII")  # a template-bound body's own header
+_NAME = _HEADER + 4  # a gate stream's name, after its u16 width and length
+_NAN = struct.pack("<d", np.nan)
+_INF = struct.pack("<d", np.inf)
+
+
+def _gate_stream(param: float = 0.5) -> bytes:
+    qc = QuantumCircuit(2, name="ab")
+    qc.rz(param, 0)
+    return wire.dump_circuit(qc)
+
+
+def _two_qubit_stream() -> QuantumCircuit:
+    qc = QuantumCircuit(2, name="ab")
+    qc.cx(0, 1)
+    return qc
+
+
+def _gate_parameter(payload: bytes) -> bytes:
+    # name "ab", u32 instruction count, u8 gate code, u16 qubit
+    return _patch(_gate_stream(), _NAME + 2 + 4 + 1 + 2, payload)
+
+
+def _template_record(template, *, theta=None, synthesis=None) -> bytes:
+    """A 2-row record with row 0's second theta or a byte of the first
+    synthesis run (``(offset, payload)`` from its kind bytes) patched."""
+    rows, params = 2, template.ansatz.num_parameters
+    bound = template.bind_batch_ir(np.full((rows, params), 0.3))
+    blob = wire.dump_batch(bound, include_synthesis=synthesis is not None)
+    if theta is not None:
+        blob = _patch(blob, _HEADER + _BODY + 8, theta)
+    if synthesis is not None:
+        offset, payload = synthesis
+        kinds = _HEADER + _BODY + rows * params * 8 + 4
+        blob = _patch(blob, kinds + offset, payload)
+    return blob
+
+
+def _specials(template, kind: int, specials: dict) -> bytes:
+    """A synthesis record whose first run gives row 0 ``kind`` and the
+    special-op table ``specials``."""
+    params = template.ansatz.num_parameters
+    bound = template.bind_batch_ir(np.full((2, params), 0.3))
+    first = bound.packed[0]
+    kinds = first.kinds.copy()
+    kinds[0] = kind
+    packed = [PackedSynthesis(first.angles, kinds, specials)]
+    return wire.dump_batch(
+        BoundCircuitBatch(template, bound.thetas, packed + bound.packed[1:]),
+        include_synthesis=True,
+    )
+
+
+def _response(flush, **changes) -> bytes:
+    encoded, report, _ = flush
+    first = dataclasses.replace(encoded[0], **changes)
+    return wire.dump_encoded_batch([first] + encoded[1:], report)
+
+
+def _response_marked_special(flush) -> bytes:
+    """A kind-4 response whose kind byte marks a generic row special."""
+    encoded, report, template = flush
+    kinds = encoded[0].circuit.bound_batch.packed[0].kinds
+    row = int(np.flatnonzero(kinds == PACKED_GENERIC)[0])
+    rows, params = len(encoded), template.ansatz.num_parameters
+    metadata = rows * (8 + 4 + 4 + 4 + 8) + struct.calcsize("<4dIb")
+    offset = _HEADER + 4 + metadata + _BODY + rows * params * 8 + 4 + row
+    blob = wire.dump_encoded_batch(encoded, report)
+    return _patch(blob, offset, bytes([PACKED_SPECIAL]))
+
+
+_SX = [("sx", ())]
+
+#: Corrupted records by name: each builds its blob from the ``flush``
+#: fixture ``(encoded, report, template)``.
+CORRUPTIONS = {
+    "name-not-utf8": lambda f: _patch(_gate_stream(), _NAME, b"\xff\xfe"),
+    "gate-parameter-nan": lambda f: _gate_parameter(_NAN),
+    "gate-parameter-inf": lambda f: _gate_parameter(_INF),
+    "gate-on-repeated-qubit": lambda f: _patch(
+        wire.dump_circuit(_two_qubit_stream()), _NAME + 2 + 4 + 1 + 2,
+        struct.pack("<H", 0),
+    ),
+    "theta-nan": lambda f: _template_record(f[2], theta=_NAN),
+    "theta-inf": lambda f: _template_record(f[2], theta=_INF),
+    "synthesis-angle-inf": lambda f: _template_record(
+        f[2], synthesis=(2, _INF)
+    ),
+    "synthesis-angle-minus-inf": lambda f: _template_record(
+        f[2], synthesis=(2 + 8, struct.pack("<d", -np.inf))
+    ),
+    "kind-byte-3": lambda f: _template_record(f[2], synthesis=(0, b"\x03")),
+    "special-row-out-of-range": lambda f: _specials(
+        f[2], PACKED_SPECIAL, {0: _SX, 9: _SX}
+    ),
+    "special-entry-on-generic-row": lambda f: _specials(
+        f[2], PACKED_GENERIC, {0: _SX}
+    ),
+    "special-row-without-ops": lambda f: _specials(f[2], PACKED_SPECIAL, {}),
+    "special-op-nan": lambda f: _specials(
+        f[2], PACKED_SPECIAL, {0: [("rz", (np.nan,))]}
+    ),
+    "special-op-not-synthesized": lambda f: _specials(
+        f[2], PACKED_SPECIAL, {0: [("h", ())]}
+    ),
+    "response-fidelity-nan": lambda f: _response(f, ideal_fidelity=np.nan),
+    "response-compile-time-inf": lambda f: _response(f, compile_time=np.inf),
+    "response-row-marked-special": _response_marked_special,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupted_record_raises_serialization_error(flush, case):
+    blob = CORRUPTIONS[case](flush)
+    with pytest.raises(SerializationError):
+        _decode(blob, flush[2])
+
+
+def test_uncorrupted_builders_decode(flush):
+    """The corruption builders' unpatched records are sound, so each
+    case above fails on its one corrupted field."""
+    template = flush[2]
+    for blob in (
+        _gate_stream(),
+        _template_record(template),
+        _template_record(template, synthesis=(0, b"\x00")),
+        _specials(template, PACKED_SPECIAL, {0: _SX}),
+        _response(flush),
+    ):
+        _assert_sound(_decode(blob, template))
+
+
+def _mutate(blob: bytes, rng) -> bytes:
+    """One random bit flip, byte deletion or byte insertion."""
+    data = bytearray(blob)
+    pos = int(rng.integers(len(data)))
+    op = rng.integers(3)
+    if op == 0:
+        data[pos] ^= 1 << int(rng.integers(8))
+    elif op == 1:
+        del data[pos]
+    else:
+        data.insert(pos, int(rng.integers(256)))
+    return bytes(data)
+
+
+def _assert_sound(decoded) -> None:
+    """Every decoded circuit materializes, simulates, holds finite angles."""
+    if isinstance(decoded, tuple):
+        samples, report = decoded
+        assert all(np.isfinite(s.ideal_fidelity) for s in samples)
+        assert all(np.isfinite(s.compile_time) for s in samples)
+        circuits = [sample.circuit for sample in samples]
+    elif isinstance(decoded, BoundCircuitBatch):
+        circuits = [decoded.circuit(row) for row in range(decoded.batch_size)]
+    elif isinstance(decoded, QuantumCircuit):
+        circuits = [decoded]
+    else:
+        circuits = decoded
+    for circuit in circuits:
+        for instruction in circuit:
+            assert np.all(np.isfinite(instruction.gate.params))
+        # A corrupted width field can describe a real, wider circuit:
+        # simulate only what fits in a few MB.
+        if circuit.num_qubits <= 12:
+            simulate_statevector(circuit)
+
+
+#: Mutations per record kind in the seeded fuzz below.
+MUTATIONS = 200
+
+
+def test_mutated_records_raise_repro_errors_or_decode_sound(flush):
+    """Seeded byte mutations of every record kind (kinds 1, 1 with
+    synthesis, 2, 3 and 4): only ReproError subclasses escape the
+    decoders, and whatever decodes is sound."""
+    encoded, report, template = flush
+    bound = encoded[0].circuit.bound_batch
+    eager = [bound.circuit(row).materialize() for row in range(4)]
+    records = (
+        wire.dump_batch(bound),
+        wire.dump_batch(bound, include_synthesis=True),
+        wire.dump_circuit(eager[0]),
+        wire.dump_circuits(eager, gate_stream=True),
+        wire.dump_encoded_batch(encoded, report),
+    )
+    rng = np.random.default_rng(7)
+    for record in records:
+        for _ in range(MUTATIONS):
+            try:
+                decoded = _decode(_mutate(record, rng), template)
+            except ReproError:
+                continue
+            _assert_sound(decoded)
 
 
 # -- service integration -----------------------------------------------------------

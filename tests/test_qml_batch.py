@@ -377,6 +377,62 @@ def test_model_bundle_malformed_config_rejected(rng, section, case):
         QMLModel.from_dict(payload, backend)
 
 
+#: Malformed stored numbers in a classifier bundle: each must fail the
+#: load with a SerializationError.
+MALFORMED_NUMBERS = {
+    "classifier-theta-nan": ("classifier", "theta", 0, float("nan")),
+    "classifier-theta-inf": ("classifier", "theta", 1, float("inf")),
+    "classifier-theta-string": ("classifier", "theta", None, "zeros"),
+    "classifier-theta-short": ("classifier", "theta", None, [0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NUMBERS))
+def test_model_bundle_malformed_numbers_rejected(rng, case):
+    model, _, _, backend = _trained_model(rng)
+    payload = model.to_dict()
+    section, key, index, value = MALFORMED_NUMBERS[case]
+    if index is None:
+        payload[section][key] = value
+    else:
+        payload[section][key][index] = value
+    with pytest.raises(SerializationError):
+        QMLModel.from_dict(payload, backend)
+
+
+def test_model_bundle_non_json_file_rejected(rng, tmp_path):
+    backend = brisbane_linear_segment(3)
+    path = tmp_path / "model.json"
+    path.write_text("{not json")
+    with pytest.raises(SerializationError):
+        load_qml_model(path, backend)
+    with pytest.raises(FileNotFoundError):
+        load_qml_model(tmp_path / "absent.json", backend)
+
+
+#: Malformed preprocessor sections (weights and sizes): each must fail
+#: with a SerializationError.
+MALFORMED_PREPROCESSORS = {
+    "weights-nan": ("weights", lambda w: [[float("nan")] + w[0][1:]] + w[1:]),
+    "weights-inf": ("weights", lambda w: w[:-1] + [[float("inf")] * 12]),
+    "weights-string": ("weights", lambda w: "identity"),
+    "weights-shape": ("weights", lambda w: w[:-1]),
+    "input-size-string": ("input_size", lambda n: "12"),
+    "input-size-fraction": ("input_size", lambda n: 12.5),
+    "input-size-nan": ("input_size", lambda n: float("nan")),
+    "output-size-zero": ("output_size", lambda n: 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PREPROCESSORS))
+def test_preprocessor_bundle_malformed_numbers_rejected(case):
+    payload = TrainableEmbedding(12, 8, seed=3).to_dict()
+    key, corrupt = MALFORMED_PREPROCESSORS[case]
+    payload[key] = corrupt(payload[key])
+    with pytest.raises(SerializationError):
+        TrainableEmbedding.from_dict(payload)
+
+
 @pytest.mark.parametrize("engine", ["reference", "batched"])
 def test_model_bundle_with_retired_engine_serves_identically(rng, engine):
     """Bundles written while ``QMLConfig.engine`` existed still load, and

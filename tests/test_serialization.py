@@ -187,17 +187,99 @@ def test_malformed_config_raises_serialization_error(fitted, segment4, case):
         encoder_from_dict(payload, segment4)
 
 
-@pytest.mark.parametrize("offline_batch", [False, True])
-def test_bundle_with_retired_field_serves_identically(
-    fitted, segment4, offline_batch
-):
-    """Bundles written while ``offline_batch`` existed still load, and
-    the reloaded encoder serves bit for bit what a current bundle does."""
-    encoder, samples = fitted
+def _set(key: str, value, index=None):
+    """Corrupt cluster 0's ``key`` (or its entry ``index``) to ``value``."""
+
+    def corrupt(cluster: dict) -> None:
+        if index is None:
+            cluster[key] = value
+        else:
+            cluster[key][index] = value
+
+    return corrupt
+
+
+#: Malformed stored numbers in a cluster entry: each must fail the load
+#: with a SerializationError (never load, and never leak a ValueError).
+MALFORMED_CLUSTERS = {
+    "center-nan": _set("center", float("nan"), 3),
+    "center-inf": _set("center", float("inf"), 3),
+    "center-zero": _set("center", [0.0] * 16),
+    "center-huge": _set("center", [1e308] * 16),
+    "center-string": _set("center", "unit"),
+    "center-string-entry": _set("center", "0.5", 3),
+    "center-nested": _set("center", [[0.25] * 4] * 4),
+    "theta-nan": _set("theta", float("nan"), 0),
+    "theta-inf": _set("theta", float("-inf"), 0),
+    "theta-string": _set("theta", "zeros"),
+    "fidelity-string": _set("fidelity", "high"),
+    "fidelity-nan": _set("fidelity", float("nan")),
+    "fidelity-bool": _set("fidelity", True),
+    "training-time-inf": _set("training_time", float("inf")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CLUSTERS))
+def test_malformed_cluster_raises_serialization_error(fitted, segment4, case):
+    encoder, _ = fitted
     payload = encoder_to_dict(encoder)
-    assert "offline_batch" not in payload["config"]
+    MALFORMED_CLUSTERS[case](payload["clusters"][0])
+    with pytest.raises(SerializationError):
+        encoder_from_dict(payload, segment4)
+
+
+@pytest.mark.parametrize(
+    "clusters", [5, {"center": [1.0]}, [[0.5, 0.5]], ["cluster"]], ids=repr
+)
+def test_malformed_clusters_section_raises_serialization_error(
+    fitted, segment4, clusters
+):
+    encoder, _ = fitted
+    payload = encoder_to_dict(encoder)
+    payload["clusters"] = clusters
+    with pytest.raises(SerializationError):
+        encoder_from_dict(payload, segment4)
+
+
+@pytest.mark.parametrize(
+    "content", ["{not json", "", '{"clusters": [1, 2,]}'], ids=repr
+)
+def test_non_json_file_raises_serialization_error(segment4, tmp_path, content):
+    path = tmp_path / "model.json"
+    path.write_text(content)
+    with pytest.raises(SerializationError):
+        load_encoder(path, segment4)
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(SerializationError):
+        load_encoder(path, segment4)
+
+
+def test_missing_bundle_file_raises_file_not_found(segment4, tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_encoder(tmp_path / "absent.json", segment4)
+
+
+#: A value each retired ``EnQodeConfig`` field was stored with, mapped
+#: to that field.
+RETIRED_VALUES = {
+    False: "offline_batch",
+    True: "offline_batch",
+    "rows": "online_batch_engine",
+    "stacked": "online_batch_engine",
+}
+
+
+@pytest.mark.parametrize("value", list(RETIRED_VALUES))
+def test_bundle_with_retired_field_serves_identically(fitted, segment4, value):
+    """Bundles written while ``offline_batch`` or ``online_batch_engine``
+    existed still load, and the reloaded encoder serves bit for bit what
+    a current bundle does."""
+    encoder, samples = fitted
+    field = RETIRED_VALUES[value]
+    payload = encoder_to_dict(encoder)
+    assert field not in payload["config"]
     legacy = json.loads(json.dumps(payload))
-    legacy["config"]["offline_batch"] = offline_batch
+    legacy["config"][field] = value
     current = encoder_from_dict(payload, segment4)
     restored = encoder_from_dict(legacy, segment4)
     assert restored.config == encoder.config
