@@ -494,11 +494,8 @@ def run_benchmark() -> dict:
     }
 
 
-def publish(results: dict, write_artifact: bool = True) -> None:
-    if write_artifact:
-        ARTIFACT.write_text(
-            json.dumps(results, indent=2, sort_keys=True) + "\n"
-        )
+def publish(results: dict) -> None:
+    """Print the results table (the artifact is written separately)."""
     header = (
         f"{'qubits':>6} {'seq s/s':>10} {'batch s/s':>10} {'speedup':>8} "
         f"{'bind x':>7} {'bind %':>7} {'fid diff':>10} "
@@ -516,8 +513,12 @@ def publish(results: dict, write_artifact: bool = True) -> None:
             f"{row['wire']['wire_bytes_per_circuit']:>7.0f} "
             f"{row['wire']['compression_vs_pickle']:>6.1f}x"
         )
-    if write_artifact:
-        print(f"artifact: {ARTIFACT}")
+
+
+def write_artifact(results: dict) -> None:
+    """Write ``BENCH_*.json``; full runs call this after every gate."""
+    ARTIFACT.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    print(f"artifact: {ARTIFACT}")
 
 
 def test_batch_throughput():
@@ -549,6 +550,7 @@ def test_batch_throughput():
     for row in results.values():
         assert row["wire"]["decode_array_equal"]
         assert row["wire"]["compression_vs_pickle"] >= MIN_WIRE_COMPRESSION
+    write_artifact(results)
 
 
 def template_bind_gate(

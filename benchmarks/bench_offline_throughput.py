@@ -172,11 +172,8 @@ def run_benchmark(scenarios=SCENARIOS) -> dict:
     }
 
 
-def publish(results: dict, write_artifact: bool = True) -> None:
-    if write_artifact:
-        ARTIFACT.write_text(
-            json.dumps(results, indent=2, sort_keys=True) + "\n"
-        )
+def publish(results: dict) -> None:
+    """Print the results table (the artifact is written separately)."""
     header = (
         f"{'scenario':>10} {'K':>4} {'seq fit s':>10} {'batch fit s':>11} "
         f"{'speedup':>8} {'fid diff':>10}"
@@ -189,8 +186,12 @@ def publish(results: dict, write_artifact: bool = True) -> None:
             f"{row['batched_fit_seconds']:>11.3f} "
             f"{row['fit_speedup']:>7.1f}x {row['max_fidelity_diff']:>10.1e}"
         )
-    if write_artifact:
-        print(f"artifact: {ARTIFACT}")
+
+
+def write_artifact(results: dict) -> None:
+    """Write ``BENCH_*.json``; full runs call this after every gate."""
+    ARTIFACT.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    print(f"artifact: {ARTIFACT}")
 
 
 def test_offline_throughput():
@@ -213,12 +214,13 @@ def test_offline_throughput():
         assert gated["max_fidelity_diff"] < 1e-9
         assert gated["fit_speedup"] >= MIN_SPEEDUP
         assert gated["training_speedup"] >= MIN_SPEEDUP
+    write_artifact(results)
 
 
 def smoke() -> None:
     """CI guard: one reduced 4-qubit scenario, no artifact write."""
     results = {"4q_30spc_smoke": run_scenario(4, 30)}
-    publish(results, write_artifact=False)
+    publish(results)
     row = results["4q_30spc_smoke"]
     assert row["num_clusters"] >= 8
     assert row["max_fidelity_diff"] < 1e-9

@@ -646,11 +646,8 @@ def run_benchmark() -> dict:
     }
 
 
-def publish(results: dict, write_artifact: bool = True) -> None:
-    if write_artifact:
-        ARTIFACT.write_text(
-            json.dumps(results, indent=2, sort_keys=True) + "\n"
-        )
+def publish(results: dict) -> None:
+    """Print the results table (the artifact is written separately)."""
     header = (
         f"{'qubits':>6} {'seq s/s':>10} {'stream s/s':>11} {'thread s/s':>11} "
         f"{'speedup':>8} {'fid diff':>10}"
@@ -709,8 +706,12 @@ def publish(results: dict, write_artifact: bool = True) -> None:
                 f"{row['process_p95_latency_ms']:>9.1f} "
                 f"{row['median_reject_ms']:>10.3f}{waiver}"
             )
-    if write_artifact:
-        print(f"artifact: {ARTIFACT}")
+
+
+def write_artifact(results: dict) -> None:
+    """Write ``BENCH_*.json``; full runs call this after every gate."""
+    ARTIFACT.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    print(f"artifact: {ARTIFACT}")
 
 
 def test_service_throughput():
@@ -759,6 +760,7 @@ def test_service_throughput():
                 row["speedup_vs_threaded"]
                 >= PROCESS_MIN_SPEEDUP_VS_THREAD
             ), row
+    write_artifact(results)
 
 
 def smoke() -> None:
@@ -781,7 +783,7 @@ def smoke() -> None:
             )
         },
     }
-    publish(results, write_artifact=False)
+    publish(results)
     row = results["streaming"]["4q_smoke"]
     assert row["clusters_equal"]
     assert row["threaded_clusters_equal"]

@@ -40,6 +40,7 @@ PCA targets).  The paper's configuration (8 layers) is even; prefer even
 from __future__ import annotations
 
 import math
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -178,26 +179,37 @@ class EnQodeAnsatz:
         """Apply the closing layer ``V = v^(x)n`` to a state vector."""
         return _apply_local(state, self.closing_matrix_1q(), self.num_qubits)
 
-    def apply_closing_layer_adjoint(self, state: np.ndarray) -> np.ndarray:
-        """Apply ``V^dagger`` — used to pull targets back through V."""
-        v_dag = self.closing_matrix_1q().conj().T
-        return _apply_local(state, v_dag, self.num_qubits)
-
     def apply_closing_layer_batch(self, states: np.ndarray) -> np.ndarray:
         """Apply ``V`` to a ``(B, 2^n)`` batch of states in one pass."""
         return _apply_local_batch(
             states, self.closing_matrix_1q(), self.num_qubits
         )
 
-    def apply_closing_layer_adjoint_batch(self, states: np.ndarray) -> np.ndarray:
-        """Apply ``V^dagger`` to a ``(B, 2^n)`` batch of states in one pass.
+    def pull_back(self, states: np.ndarray) -> np.ndarray:
+        """Apply ``V^dagger`` to every row of a ``(B, 2^n)`` batch.
 
-        The batched objective uses this to pull all targets back through
-        the closing layer with ``n`` tensordots total instead of ``n`` per
-        sample.
+        The objectives' target pull-back.  ``V^dagger = A (x) B`` over
+        the first ``ceil(n/2)`` qubits and the rest, so a row read as a
+        matrix ``X`` maps to ``A X B^T``: two 2-D products over the whole
+        batch, whose per-row bits do not depend on the batch size (a
+        dense ``2^n x 2^n`` product's do).
         """
+        high_t, low_t = self._closing_adjoint_factors
+        states = np.asarray(states, dtype=complex)
+        batch, high, low = states.shape[0], high_t.shape[0], low_t.shape[0]
+        half = states.reshape(batch * high, low) @ low_t
+        half = half.reshape(batch, high, low).transpose(0, 2, 1)
+        out = half.reshape(batch * low, high) @ high_t
+        out = out.reshape(batch, low, high).transpose(0, 2, 1)
+        return out.reshape(batch, -1)
+
+    @cached_property
+    def _closing_adjoint_factors(self) -> "tuple[np.ndarray, np.ndarray]":
+        """``(A^T, B^T)`` of :meth:`pull_back`, computed once per ansatz."""
         v_dag = self.closing_matrix_1q().conj().T
-        return _apply_local_batch(states, v_dag, self.num_qubits)
+        high = reduce(np.kron, [v_dag] * ((self.num_qubits + 1) // 2))
+        low = reduce(np.kron, [v_dag] * (self.num_qubits // 2))
+        return np.ascontiguousarray(high.T), np.ascontiguousarray(low.T)
 
     def __repr__(self) -> str:
         return (

@@ -99,7 +99,7 @@ class BatchFidelityObjective:
         self.ansatz = ansatz
         self.targets = targets
         # Pull all targets back through the closing layer in one pass.
-        y = ansatz.apply_closing_layer_adjoint_batch(targets)
+        y = ansatz.pull_back(targets)
         self._coeff = np.conj(y) * symbolic.phase_factors / np.sqrt(dim)
         self._half_p = symbolic.half_phase_matrix
         # Contiguous real/imaginary parts feed the all-real hot path in

@@ -204,18 +204,24 @@ def nearest_centers(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`nearest_center` over a ``(B, d)`` sample matrix.
 
-    Returns ``(indices, distances)`` of shapes ``(B,)``.  Computed with
-    the same differences-then-norm arithmetic as the scalar version so
-    batch and per-sample cluster assignments agree exactly (the expanded
-    ``|a|^2 - 2ab + |b|^2`` form can flip ties).
+    Returns ``(indices, distances)`` of shapes ``(B,)``; the first
+    minimum wins a tie.
+    """
+    distances = center_distances(samples, centers)
+    indices = np.argmin(distances, axis=1)
+    return indices, distances[np.arange(distances.shape[0]), indices]
+
+
+def center_distances(samples: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``(B, K)`` distances, the arithmetic of every nearest-center rule.
+
+    Differences first, then the norm, so an entry depends only on its
+    own sample and center, whatever is stacked beside them (the
+    expanded ``|a|^2 - 2ab + |b|^2`` form can flip ties).
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     centers = np.asarray(centers, dtype=float)
-    distances = np.linalg.norm(
-        samples[:, None, :] - centers[None, :, :], axis=2
-    )
-    indices = np.argmin(distances, axis=1)
-    return indices, distances[np.arange(samples.shape[0]), indices]
+    return np.linalg.norm(samples[:, None, :] - centers[None, :, :], axis=2)
 
 
 def min_nearest_fidelity(data: np.ndarray, centers: np.ndarray) -> float:

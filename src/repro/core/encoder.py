@@ -159,9 +159,11 @@ class EnQodeEncoder:
         This is the vector the encoder's circuits actually embed — the
         preprocessed-and-renormalized row when a preprocessor is
         attached, the normalized sample itself otherwise.  Routing
-        (:func:`repro.core.multiclass.nearest_class`) compares cluster
-        centers against *this*, so per-class encoders with different
-        preprocessors stay comparable.  Malformed input raises
+        (:func:`repro.core.multiclass.nearest_class`, and
+        :meth:`repro.service.EncoderRegistry.route` for encoders with a
+        preprocessor) compares cluster centers against *this*, so
+        per-class encoders with different preprocessors stay
+        comparable.  Malformed input raises
         :class:`~repro.errors.OptimizationError` (see
         :func:`repro.data.preprocess.validate_samples`).
         """

@@ -6,7 +6,7 @@ facade trains that collection (one encoder per class) and aggregates the
 offline reports (what Fig. 9(b) plots).  Serving goes through
 :class:`repro.service.EncodingService`, which adopts the trained
 encoders via ``EncoderRegistry.from_per_class`` and routes samples of
-unknown class with :func:`nearest_class`.
+unknown class by :func:`nearest_class`'s rule.
 """
 
 from __future__ import annotations
@@ -32,7 +32,10 @@ def nearest_class(
     across several trained models: each class is represented by its best
     (closest) cluster center, and ties go to the earliest-registered
     class.  The service registry's automatic routing
-    (:meth:`repro.service.EncoderRegistry.route`) applies this rule.
+    (:meth:`repro.service.EncoderRegistry.route`) makes the same
+    decision with one distance pass over a stacked table of every
+    encoder's centers; this per-encoder loop is the reference its tests
+    compare against.
     """
     if not encoders:
         raise OptimizationError("no encoders to route between")

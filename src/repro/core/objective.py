@@ -45,7 +45,7 @@ class FidelityObjective:
         self.ansatz = ansatz
         self.target = target
         # Pull the target back through the closing layer once.
-        y = ansatz.apply_closing_layer_adjoint(target)
+        y = ansatz.pull_back(target[None, :])[0]
         # Per-basis-state constant: conj(y_r) * i^{k_r} / sqrt(2^n).
         self._coeff = np.conj(y) * symbolic.phase_factors / np.sqrt(dim)
         # P/2 enters every phase and derivative; shared (cached) with every

@@ -260,12 +260,6 @@ class EncodePipeline:
         self.route = RouteStage(transfer)
         self.finetune = FinetuneStage(transfer)
         self.lower = LowerStage(ansatz, backend, optimization_level)
-        #: Optional chaos hook (see :mod:`repro.service.resilience`):
-        #: when set, every stage of :meth:`run_reported` fires its site
-        #: through it before executing, letting tests inject stage
-        #: exceptions and latency deterministically.  ``None`` costs
-        #: one attribute check per stage.
-        self.fault_injector = None
 
     @property
     def transfer(self) -> TransferLearner:
@@ -301,7 +295,7 @@ class EncodePipeline:
         return samples / np.linalg.norm(samples, axis=1, keepdims=True)
 
     def run_reported(
-        self, samples: np.ndarray
+        self, samples: np.ndarray, faults=None
     ) -> "tuple[list[EncodedSample], PipelineRunReport]":
         """Drive ``samples`` through every stage, with a run report.
 
@@ -321,15 +315,19 @@ class EncodePipeline:
         objective, optimizer and plan, and the template cache has its own
         lock), so the service's worker pool may run flushes through one
         pipeline concurrently.
+
+        ``faults`` is an optional chaos hook for this run only (a
+        :class:`repro.service.resilience.FaultInjector`, never stored):
+        each stage fires its site through it before executing.
         """
         samples = self.prepare(samples)
         report = PipelineRunReport(batch_size=samples.shape[0])
         if samples.shape[0] == 0:
             return [], report
-        self._fire_fault("route")
+        _fire(faults, "route")
         with Timer() as route_timer:
             plan = self.route.run(samples)
-        self._fire_fault("finetune")
+        _fire(faults, "finetune")
         with Timer() as tune_timer:
             outcomes = self.finetune.run(plan)
         report.route_seconds = route_timer.elapsed
@@ -342,7 +340,7 @@ class EncodePipeline:
             [result.fidelity for result in results],
             report,
             results=results,
-            fire_faults=True,
+            faults=faults,
         )
 
     def run_degraded_reported(
@@ -387,7 +385,6 @@ class EncodePipeline:
             [float(fidelity) for fidelity in fidelities],
             report,
             results=None,
-            fire_faults=False,
         )
 
     def _lower(
@@ -398,22 +395,20 @@ class EncodePipeline:
         fidelities: list,
         report: PipelineRunReport,
         results: "list[OptimizationResult] | None",
-        fire_faults: bool,
+        faults=None,
     ) -> "tuple[list[EncodedSample], PipelineRunReport]":
         """The shared lowering tail: template fetch, one ``bind_batch``,
         the :class:`EncodedSample` list and the run's report.
 
         ``thetas`` holds one angle row per sample; ``results`` carries
         the fine-tune's per-row optimizer counts (``None`` when the
-        stage was skipped).
+        stage was skipped); ``faults`` is the run's chaos hook.
         """
-        if fire_faults:
-            self._fire_fault("lower")
+        _fire(faults, "lower")
         with Timer() as template_timer:
             # On a cold cache this pays the one-time structural transpile.
             template, report.template_hit = self.lower.template_reported()
-        if fire_faults:
-            self._fire_fault("bind")
+        _fire(faults, "bind")
         with Timer() as bind_timer:
             transpiled = template.bind_batch(thetas)
         report.lower_seconds = template_timer.elapsed
@@ -445,16 +440,16 @@ class EncodePipeline:
         ]
         return encoded, report
 
-    def _fire_fault(self, site: str) -> None:
-        injector = self.fault_injector
-        if injector is not None:
-            injector.fire(site)
-
     def __repr__(self) -> str:
         return (
             f"EncodePipeline({self.ansatz!r}, {self.backend.name!r}, "
             f"level={self.lower.optimization_level})"
         )
+
+
+def _fire(faults, site: str) -> None:
+    if faults is not None:
+        faults.fire(site)
 
 
 __all__ = [

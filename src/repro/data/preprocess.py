@@ -53,14 +53,22 @@ def validate_samples(
     samples as a ``(B, width)`` float matrix (see :func:`as_real_rows`
     for ``single``) after rejecting rows that are non-numeric, complex
     with a nonzero imaginary part, the wrong width (skipped when
-    ``width`` is ``None``), non-finite, or of norm below 1e-12.
+    ``width`` is ``None``), non-finite, of a norm that overflows, or of
+    norm below 1e-12.
     """
     rows = as_real_rows(samples, error, single=single)
     if width is not None and (rows.ndim != 2 or rows.shape[1] != width):
         raise error(f"samples must be (B, {width}), got {rows.shape}")
-    if not np.isfinite(rows).all():
-        raise error("samples contain non-finite entries (NaN or inf)")
-    if (np.linalg.norm(rows, axis=-1) < 1e-12).any():
+    # einsum raises no floating-point warning, so NaN or inf entries and
+    # a norm that overflows all reach this one finiteness check.
+    norms = np.sqrt(np.einsum("...i,...i->...", rows, rows))
+    if not np.isfinite(norms).all():
+        if not np.isfinite(rows).all():
+            raise error("samples contain non-finite entries (NaN or inf)")
+        raise error(
+            "a sample row's norm overflows (entries too large to embed)"
+        )
+    if (norms < 1e-12).any():
         raise error(
             "cannot embed a zero sample row (amplitude embedding is "
             "undefined for the zero vector)"

@@ -1,7 +1,7 @@
 """Circuit interchange: OpenQASM 2/3 text and a compact binary wire format.
 
-This subsystem is how encoded circuits leave the process (ROADMAP item
-3).  Two formats, one vocabulary (the full
+This subsystem is how encoded circuits leave the process.  Two
+formats, one vocabulary (the full
 :data:`repro.quantum.gates.STANDARD_GATES` registry):
 
 * :mod:`repro.io.qasm` — OpenQASM 2 and 3 export/import with

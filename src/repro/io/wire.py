@@ -1,10 +1,11 @@
 """Versioned compact binary wire format for (bound) circuits.
 
-ROADMAP item 3's transport layer: a template-bound circuit is fully
-determined by *which* template produced it plus its ``(P,)`` angle row,
-so the wire record for a whole :class:`~repro.transpile.bound.
-BoundCircuitBatch` is a fingerprint plus a ``(B, P)`` float block — a
-few hundred bytes per circuit instead of a multi-kilobyte gate list.
+The transport layer for encoded circuits: a template-bound circuit is
+fully determined by *which* template produced it plus its ``(P,)``
+angle row, so the wire record for a whole
+:class:`~repro.transpile.bound.BoundCircuitBatch` is a fingerprint plus
+a ``(B, P)`` float block — a few hundred bytes per circuit instead of a
+multi-kilobyte gate list.
 Because :meth:`~repro.transpile.template.ParametricTemplate.
 bind_batch_ir` is deterministic and float-bit reproducible, the decoder
 can rebind from the thetas alone and recover an IR whose simulation is

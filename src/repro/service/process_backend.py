@@ -1,6 +1,6 @@
 """Process-pool execution backend: a fleet of encoder-replica workers.
 
-ROADMAP item 2's next step past the single-GIL
+The serving step past the single-GIL
 :class:`~repro.service.async_service.ThreadBackend`: fine-tuning is
 CPU-bound numpy/scipy that holds the GIL, so threaded workers serialize
 on compute even when they interleave on I/O.  :class:`ProcessBackend`

@@ -9,9 +9,11 @@ routes every request to one of them.  Bundles persisted by
 a version-mismatched bundle is rejected at load time with a
 :class:`~repro.errors.SerializationError` (never mid-request).
 
-Automatic routing applies :func:`repro.core.multiclass.nearest_class`,
-and :meth:`EncoderRegistry.from_per_class` adopts a per-class collection
-trained by :class:`repro.core.multiclass.PerClassEnQode` wholesale.
+Automatic routing makes :func:`repro.core.multiclass.nearest_class`'s
+decision with one distance pass over a stacked table of every encoder's
+cluster centers, and :meth:`EncoderRegistry.from_per_class` adopts a
+per-class collection trained by
+:class:`repro.core.multiclass.PerClassEnQode` wholesale.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ import pathlib
 
 import numpy as np
 
+from repro.core.clustering import center_distances, nearest_center
 from repro.core.encoder import EnQodeEncoder
-from repro.core.multiclass import PerClassEnQode, nearest_class
+from repro.core.multiclass import PerClassEnQode
 from repro.core.serialization import load_encoder, save_encoder
+from repro.data.preprocess import validate_samples
 from repro.errors import ServiceError
 from repro.hardware.backend import Backend
 
@@ -209,31 +213,55 @@ class EncoderRegistry:
     def route(self, sample: np.ndarray):
         """Key of the encoder whose nearest cluster center is closest.
 
-        The multi-model extension of Sec. III-D's nearest-cluster rule
-        (see :func:`repro.core.multiclass.nearest_class`); used by the
-        service for submissions that do not name an encoder.  Only
-        encoders whose amplitude width matches the sample participate —
-        a sample no registered encoder can embed is a
-        :class:`~repro.errors.ServiceError`, not a numpy broadcast
-        failure.
+        :func:`repro.core.multiclass.nearest_class`'s decision, ties to
+        the earliest-registered key included, made with one distance
+        pass over a table that stacks every preprocessor-free encoder's
+        centers, built from the registry as it stands at the call; the
+        service routes submissions that name no encoder here.  Only
+        encoders of the sample's input width take part.  Malformed
+        input, or a width no encoder accepts, raises
+        :class:`~repro.errors.ServiceError`.
         """
+        row = validate_samples(sample, None, ServiceError, single=True)[0]
         if not self._encoders:
             raise ServiceError("cannot route: registry is empty")
-        sample = np.asarray(sample, dtype=float).ravel()
-        candidates = {
-            key: encoder
-            for key, encoder in self._encoders.items()
-            if encoder.input_size == sample.size
-        }
-        if not candidates:
-            widths = sorted(
-                {e.input_size for e in self._encoders.values()}
-            )
+        # The candidates in registration order: preprocessor-free centers
+        # stacked into one table with the candidate slot owning each row,
+        # and every encoder with a preprocessor kept for its projection.
+        # Iterating a snapshot keeps a concurrent register from breaking
+        # the loop (submit routes outside the service lock).
+        keys, table, owners, projecting = [], [], [], []
+        for key, encoder in tuple(self._encoders.items()):
+            if encoder.input_size != row.size:
+                continue
+            centers = encoder.pipeline.transfer.centers
+            if encoder.preprocessor is None:
+                table.append(centers)
+                owners += [len(keys)] * len(centers)
+            else:
+                projecting.append((len(keys), encoder, centers))
+            keys.append(key)
+        if not keys:
+            widths = sorted({e.input_size for e in self._encoders.values()})
             raise ServiceError(
-                f"no registered encoder accepts {sample.size}-feature "
+                f"no registered encoder accepts {row.size}-feature "
                 f"samples (registered input widths: {widths})"
             )
-        return nearest_class(sample, candidates)
+        # nearest_class's arithmetic: the unit sample, renormalized by the
+        # identity projection; the first minimum in registration order wins.
+        unit = row / np.linalg.norm(row)
+        best = (np.inf, 0)
+        if table:
+            distances = center_distances(
+                unit / np.linalg.norm(unit), np.concatenate(table)
+            )[0]
+            nearest = int(np.argmin(distances))
+            best = (distances[nearest], owners[nearest])
+        for slot, encoder, centers in projecting:
+            _, distance = nearest_center(encoder.project(unit), centers)
+            best = min(best, (distance, slot))
+        return keys[best[1]]
 
     def __repr__(self) -> str:
         return f"EncoderRegistry(keys={self.keys()})"
+

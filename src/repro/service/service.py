@@ -244,11 +244,11 @@ class EncodingService:
         self._evaluation_sum = 0
         self._fidelity_sum = 0.0
         # Resilience machinery (see repro.service.resilience).  The
-        # injector fires the "flush" site inside _execute_flush and is
-        # attached to every pipeline registered *through this service*
-        # (register/load) so stage sites fire too; the retry policy and
-        # transient classifier drive the flush retry loop; breakers are
-        # lazily created per key under the service lock.
+        # injector fires the "flush" site inside _execute_flush and
+        # rides with each of this service's pipeline runs so stage sites
+        # fire too (never stored on the shared pipeline); the retry
+        # policy and transient classifier drive the flush retry loop;
+        # breakers are lazily created per key under the service lock.
         self.fault_injector = fault_injector
         self.transient_classifier = (
             transient_classifier
@@ -279,7 +279,6 @@ class EncodingService:
     def register(self, key, encoder: EnQodeEncoder) -> EnQodeEncoder:
         """Register a fitted encoder under ``key``."""
         encoder = self.registry.register(key, encoder)
-        self._attach_injector(encoder)
         if self._backend_impl is not None:
             self._backend_impl.on_register(key, encoder)
         return encoder
@@ -289,15 +288,9 @@ class EncodingService:
     ) -> EnQodeEncoder:
         """Load a versioned model bundle into the ``key`` slot."""
         encoder = self.registry.load(key, path, backend)
-        self._attach_injector(encoder)
         if self._backend_impl is not None:
             self._backend_impl.on_register(key, encoder)
         return encoder
-
-    def _attach_injector(self, encoder: EnQodeEncoder) -> None:
-        """Thread the service's fault injector into a pipeline's stages."""
-        if self.fault_injector is not None:
-            encoder.pipeline.fault_injector = self.fault_injector
 
     def keys(self) -> list:
         return self.registry.keys()
@@ -441,10 +434,12 @@ class EncodingService:
     ) -> EncodeTicket:
         """Queue one sample; returns a ticket that fills on flush.
 
-        Without ``key`` the sample is routed to the registry's nearest
-        encoder (:func:`repro.core.multiclass.nearest_class`).  Validation
-        happens here — a malformed sample fails its own ``submit`` call
-        instead of poisoning a whole micro-batch later.
+        Without ``key`` the sample goes to the encoder
+        :meth:`EncoderRegistry.route` picks: the one with the nearest
+        cluster center, found in one pass over the registry's stacked
+        center table.  Validation happens here — a malformed sample
+        fails its own ``submit`` call instead of poisoning a whole
+        micro-batch later.
 
         ``deadline`` is a per-request latency budget in seconds
         (relative to now): a request still unserved when it expires is
@@ -912,7 +907,7 @@ class EncodingService:
         if backend_impl is not None and backend_impl.owns_execution:
             request_ids = [request.request_id for request in requests]
             return backend_impl.run_pipeline(key, request_ids, samples)
-        return pipeline.run_reported(samples)
+        return pipeline.run_reported(samples, faults=self.fault_injector)
 
     # -- circuit breakers ----------------------------------------------------------
 

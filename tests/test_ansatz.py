@@ -87,10 +87,37 @@ def test_closing_layer_adjoint_roundtrip(rng):
     ansatz = EnQodeAnsatz(3, 2)
     state = rng.normal(size=8) + 1j * rng.normal(size=8)
     state /= np.linalg.norm(state)
-    roundtrip = ansatz.apply_closing_layer_adjoint(
-        ansatz.apply_closing_layer(state)
-    )
-    assert np.allclose(roundtrip, state)
+    roundtrip = ansatz.pull_back(ansatz.apply_closing_layer(state)[None])
+    assert np.allclose(roundtrip[0], state)
+
+
+def _pull_back_loop(ansatz, states):
+    """The per-qubit reference: one tensordot with v^dagger per qubit."""
+    v_dag = ansatz.closing_matrix_1q().conj().T
+    batch = states.shape[0]
+    tensor = states.reshape((batch,) + (2,) * ansatz.num_qubits)
+    for axis in range(1, ansatz.num_qubits + 1):
+        tensor = np.moveaxis(
+            np.tensordot(v_dag, tensor, axes=([1], [axis])), 0, axis
+        )
+    return tensor.reshape(batch, -1)
+
+
+@pytest.mark.parametrize("num_qubits", [2, 3, 4, 5, 6, 8])
+def test_pull_back_matches_per_qubit_loop(num_qubits):
+    """The two-factor pull-back is V^dagger to the last bits, and a
+    row's bits are the same alone and among 63 batch-mates."""
+    ansatz = EnQodeAnsatz(num_qubits, 2)
+    rng = np.random.default_rng(num_qubits)
+    dim = 2**num_qubits
+    states = rng.normal(size=(64, dim)) + 1j * rng.normal(size=(64, dim))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    batched = ansatz.pull_back(states)
+    assert batched.shape == (64, dim)
+    assert np.max(np.abs(batched - _pull_back_loop(ansatz, states))) < 1e-15
+    for row in (0, 17, 63):
+        alone = ansatz.pull_back(states[row : row + 1])
+        assert np.array_equal(alone[0], batched[row])
 
 
 def test_fixed_shape_across_parameters(rng):

@@ -95,6 +95,10 @@ def _assert_replay_identical(service, tickets):
         )
     assert groups, "chaos run completed no requests; faults too aggressive"
     for (key, _fid), group in groups.items():
+        # A flush carries its rows in submission (request id) order, but
+        # threads submitting together can append their tickets out of
+        # it, and a permuted batch gives different bits.
+        group.sort(key=lambda entry: entry[0].request_id)
         encoder = service.registry.get(key)
         samples = np.stack([sample for _, sample in group])
         for (response, _), reference in zip(

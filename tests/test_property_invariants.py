@@ -347,6 +347,7 @@ def test_zero_norm_row_rejected(online_encoders):
         "nan entry": np.where(np.arange(16) == 3, np.nan, good),
         "+inf": np.where(np.arange(16) == 0, np.inf, good),
         "-inf": np.where(np.arange(16) == 5, -np.inf, good),
+        "norm overflow": np.full(16, 1e200),
         "string": np.array(["x"] * 16),
         "imaginary": good + 1j * good,
         "zero": np.zeros(16),

@@ -473,6 +473,28 @@ def test_permanent_failure_is_not_retried(fitted, cluster_data):
     assert service.stats().retries == 0
 
 
+def test_fault_injector_does_not_outlive_its_service(fitted, cluster_data):
+    """A service's injector rides with that service's runs only: once a
+    faulty service has stopped, the same encoder serves ``encode()`` and
+    a second, fault-free service."""
+    injector = FaultInjector([FaultRule("finetune", kind="error")])
+    with EncodingService(
+        backend="thread", workers=1, max_batch=1, fault_injector=injector
+    ) as faulty:
+        faulty.register("a", fitted)
+        ticket = faulty.submit(cluster_data[0], key="a")
+        with pytest.raises(ServiceError, match="injected"):
+            ticket.result(timeout=30.0)
+    assert injector.fired_count("finetune") == 1
+    encoded = fitted.encode(cluster_data[1])
+    clean = EncodingService(max_batch=1)
+    clean.register("a", fitted)
+    ticket = clean.submit(cluster_data[1], key="a")
+    assert ticket.done
+    assert np.array_equal(ticket.response.encoded.theta, encoded.theta)
+    assert injector.fired_count("finetune") == 1
+
+
 def test_custom_transient_classifier(fitted, cluster_data):
     """A deployment-specific classifier can widen what gets retried."""
     injector = FaultInjector(

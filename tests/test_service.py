@@ -7,6 +7,8 @@ triggers, registry routing and versioned-bundle loading, service stats,
 and the shared ``EncodePipeline`` stage objects the shims execute.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,35 @@ def test_registry_rejects_unfitted(segment4):
         registry.route(np.ones(16))
 
 
+@pytest.mark.parametrize(
+    "sample",
+    [
+        np.array(["1.0"] * 16),
+        [[1.0, 2.0], [3.0]],
+        object(),
+        np.ones(16) + 0.5j,
+        np.where(np.arange(16) == 2, np.inf, 1.0),
+        np.full(16, np.nan),
+        np.full(16, 1e200),
+        np.zeros(16),
+        np.ones(8),
+    ],
+    ids=[
+        "string", "ragged", "object", "complex", "inf", "nan",
+        "norm-overflow", "zero", "width",
+    ],
+)
+def test_registry_route_rejects_malformed_samples(fitted, sample):
+    """``route`` is a public entry point: only ServiceError escapes, and
+    no numpy warning fires on the way."""
+    registry = EncoderRegistry()
+    registry.register("a", fitted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ServiceError):
+            registry.route(sample)
+
+
 def test_registry_bundle_roundtrip(fitted, segment4, tmp_path):
     registry = EncoderRegistry()
     registry.register("a", fitted)
@@ -268,6 +299,7 @@ def test_submit_validation(fitted):
         np.array(["x"] * 16),
         good + 0.5j,  # nonzero imaginary part
         [[1.0, 2.0], [3.0]],  # ragged
+        np.full(16, 1e200),  # finite entries, overflowing norm
     ):
         with pytest.raises(ServiceError):
             service.submit(row, key=0)
